@@ -18,9 +18,8 @@
 //! * [`elastic`] — the diurnal day/night cycle on an elastic cluster
 //!   (the `howmany` hook) vs every fixed size, scored in ops per
 //!   provisioned MDS-hour (`cargo run -p mantle-core --bin elastic`);
-//! * [`scale`] — scale-mode scenarios (≥64 MDSs, ≥100k dirs) comparing
-//!   the heap and timing-wheel event-queue backends (`cargo run -p
-//!   mantle-core --bin scale`);
+//! * [`scale`] — scale-mode scenarios (≥64 MDSs, ≥100k dirs) timed
+//!   wall-clock (`cargo run -p mantle-core --bin scale`);
 //! * [`search`] — policy-parameter grid search: every Fill & Spill
 //!   knob combination ranked across the fault catalogue (`cargo run -p
 //!   mantle-core --bin search`);

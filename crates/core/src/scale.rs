@@ -4,25 +4,16 @@
 //! system that "serves millions of users", and related work (λFS, MIDAS)
 //! expects metadata services to scale to hundreds of serving units. These
 //! scenarios stress the *simulator* at that scale — ≥64 MDSs, ≥100k
-//! directories, multi-million-request Zipf workloads — which is exactly
-//! the regime where the heap-backed event queue's O(log n) pops become the
-//! hot path and the timing wheel ([`mantle_sim::SchedulerKind::Wheel`])
-//! earns its keep.
-//!
-//! Every row runs twice, once per scheduler backend, and the two
-//! [`RunReport`]s must be **byte-identical**: the wheel is a pure
-//! performance substitution, never a behavioral one. The `scale` bin
-//! prints the wall-clock comparison table recorded in EXPERIMENTS.md;
-//! `scale --smoke` is the CI-sized variant of the same check.
+//! directories, multi-million-request Zipf workloads. The `scale` bin
+//! prints the wall-clock table recorded in EXPERIMENTS.md; `scale --smoke`
+//! is the CI-sized variant.
 
 use std::time::Instant;
 
-use crate::experiment::{
-    run_experiment, run_experiment_with_stats, BalancerSpec, Experiment, WorkloadSpec,
-};
+use crate::experiment::{run_experiment, BalancerSpec, Experiment, WorkloadSpec};
 use crate::policies;
 use crate::table::TextTable;
-use mantle_mds::{ClusterConfig, ExecMode, ExecStats, RunReport, SchedulerKind};
+use mantle_mds::{ClusterConfig, RunReport};
 use mantle_sim::SimTime;
 
 /// One scale-mode cluster shape.
@@ -84,8 +75,8 @@ pub fn scale_specs(smoke: bool) -> Vec<ScaleSpec> {
     ]
 }
 
-/// The experiment a scale row describes, on the chosen scheduler backend.
-pub fn scale_experiment(spec: &ScaleSpec, scheduler: SchedulerKind, seed: u64) -> Experiment {
+/// The experiment a scale row describes.
+pub fn scale_experiment(spec: &ScaleSpec, seed: u64) -> Experiment {
     let config = ClusterConfig {
         num_mds: spec.num_mds,
         seed,
@@ -94,8 +85,7 @@ pub fn scale_experiment(spec: &ScaleSpec, scheduler: SchedulerKind, seed: u64) -
         heartbeat_interval: SimTime::from_secs(2),
         frag_split_threshold: 1_000,
         ..Default::default()
-    }
-    .with_scheduler(scheduler);
+    };
     Experiment::new(
         config,
         WorkloadSpec::ZipfMix {
@@ -112,18 +102,18 @@ pub fn scale_experiment(spec: &ScaleSpec, scheduler: SchedulerKind, seed: u64) -
     )
 }
 
-/// Wall-clock result of one row on one backend.
+/// Wall-clock result of one row.
 #[derive(Debug, Clone)]
 pub struct ScaleRun {
-    /// The report (identical across backends for a fixed seed).
+    /// The report.
     pub report: RunReport,
     /// Host wall-clock the run took.
     pub wall_secs: f64,
 }
 
-/// Run one row on one backend, timing it.
-pub fn run_scale(spec: &ScaleSpec, scheduler: SchedulerKind, seed: u64) -> ScaleRun {
-    let exp = scale_experiment(spec, scheduler, seed);
+/// Run one row, timing it.
+pub fn run_scale(spec: &ScaleSpec, seed: u64) -> ScaleRun {
+    let exp = scale_experiment(spec, seed);
     let start = Instant::now();
     let report = run_experiment(&exp);
     ScaleRun {
@@ -132,8 +122,7 @@ pub fn run_scale(spec: &ScaleSpec, scheduler: SchedulerKind, seed: u64) -> Scale
     }
 }
 
-/// Run every row on both backends, assert report equality, and render the
-/// heap-vs-wheel wall-clock table.
+/// Run every row and render the wall-clock table.
 pub fn scale_table(smoke: bool) -> String {
     let seed = 42;
     let mut table = TextTable::new([
@@ -142,112 +131,27 @@ pub fn scale_table(smoke: bool) -> String {
         "clients",
         "dirs",
         "ops",
-        "heap s",
-        "wheel s",
-        "speedup",
+        "wall s",
+        "ops/s",
         "migrations",
     ]);
     for spec in scale_specs(smoke) {
-        let heap = run_scale(&spec, SchedulerKind::Heap, seed);
-        let wheel = run_scale(&spec, SchedulerKind::Wheel, seed);
-        assert_eq!(
-            format!("{:?}", heap.report),
-            format!("{:?}", wheel.report),
-            "{}: scheduler backends must be bit-identical",
-            spec.name
-        );
+        let run = run_scale(&spec, seed);
+        let ops = run.report.total_ops();
         table.row([
             spec.name.to_string(),
             spec.num_mds.to_string(),
             spec.clients.to_string(),
             spec.dirs.to_string(),
-            format!("{:.0}", heap.report.total_ops()),
-            format!("{:.2}", heap.wall_secs),
-            format!("{:.2}", wheel.wall_secs),
-            format!("{:.2}x", heap.wall_secs / wheel.wall_secs.max(1e-9)),
-            heap.report.total_migrations().to_string(),
+            format!("{ops:.0}"),
+            format!("{:.2}", run.wall_secs),
+            format!("{:.0}", ops / run.wall_secs.max(1e-9)),
+            run.report.total_migrations().to_string(),
         ]);
     }
     format!(
-        "Scale mode (zipf-mix, greedy-spill-even; heap vs wheel scheduler)\n{}",
+        "Scale mode (zipf-mix, greedy-spill-even)\n{}",
         table.render()
-    )
-}
-
-/// Run one row in the given execution mode (wheel scheduler), timing it
-/// and capturing the engine's execution stats.
-pub fn run_scale_mode(spec: &ScaleSpec, mode: ExecMode, seed: u64) -> (ScaleRun, ExecStats) {
-    let mut exp = scale_experiment(spec, SchedulerKind::Wheel, seed);
-    exp.config = exp.config.with_exec_mode(mode);
-    let start = Instant::now();
-    let (report, stats) = run_experiment_with_stats(&exp);
-    (
-        ScaleRun {
-            report,
-            wall_secs: start.elapsed().as_secs_f64(),
-        },
-        stats,
-    )
-}
-
-/// Run every row single-threaded and sharded across `threads` workers,
-/// assert the reports are byte-identical, and render the wall-clock
-/// comparison plus the per-shard breakdown (events drained, cross-shard
-/// messages sent, wall-clock spent stalled at window barriers).
-pub fn parallel_scale_table(smoke: bool, threads: usize) -> String {
-    let seed = 42;
-    let mut table = TextTable::new([
-        "scenario", "mds", "clients", "ops", "1t s", "kt s", "speedup", "windows",
-    ]);
-    let mut breakdown = String::new();
-    for spec in scale_specs(smoke) {
-        let (single, _) = run_scale_mode(&spec, ExecMode::Single, seed);
-        let (sharded, stats) = run_scale_mode(&spec, ExecMode::Sharded { threads }, seed);
-        assert_eq!(
-            format!("{:?}", single.report),
-            format!("{:?}", sharded.report),
-            "{}: sharded run must be byte-identical to the single-threaded oracle",
-            spec.name
-        );
-        table.row([
-            spec.name.to_string(),
-            spec.num_mds.to_string(),
-            spec.clients.to_string(),
-            format!("{:.0}", single.report.total_ops()),
-            format!("{:.2}", single.wall_secs),
-            format!("{:.2}", sharded.wall_secs),
-            format!("{:.2}x", single.wall_secs / sharded.wall_secs.max(1e-9)),
-            stats.windows.to_string(),
-        ]);
-        breakdown.push_str(&format!("\n{} per-shard breakdown:\n", spec.name));
-        let mut shard_table = TextTable::new([
-            "shard",
-            "mds",
-            "clients",
-            "events",
-            "msgs sent",
-            "barrier ms",
-        ]);
-        for (i, s) in stats.shards.iter().enumerate() {
-            shard_table.row([
-                i.to_string(),
-                format!("{}..{}", s.mds_range.0, s.mds_range.0 + s.mds_range.1),
-                format!(
-                    "{}..{}",
-                    s.client_range.0,
-                    s.client_range.0 + s.client_range.1
-                ),
-                s.events.to_string(),
-                s.msgs_sent.to_string(),
-                format!("{:.1}", s.barrier_wait_ns as f64 / 1e6),
-            ]);
-        }
-        breakdown.push_str(&shard_table.render());
-    }
-    format!(
-        "Parallel scale (zipf-mix, greedy-spill-even; 1 thread vs {threads} shard threads)\n{}{}",
-        table.render(),
-        breakdown
     )
 }
 
@@ -275,29 +179,11 @@ mod tests {
     }
 
     #[test]
-    fn smoke_backends_agree() {
+    fn smoke_row_is_reproducible_and_complete() {
         let spec = scale_specs(true).remove(0);
-        let heap = run_scale(&spec, SchedulerKind::Heap, 7);
-        let wheel = run_scale(&spec, SchedulerKind::Wheel, 7);
-        assert_eq!(format!("{:?}", heap.report), format!("{:?}", wheel.report));
-        assert_eq!(heap.report.total_ops(), spec.total_ops() as f64);
-    }
-
-    #[test]
-    fn smoke_sharded_matches_oracle() {
-        let spec = scale_specs(true).remove(0);
-        let (single, _) = run_scale_mode(&spec, ExecMode::Single, 7);
-        let (sharded, stats) = run_scale_mode(&spec, ExecMode::Sharded { threads: 4 }, 7);
-        assert_eq!(
-            format!("{:?}", single.report),
-            format!("{:?}", sharded.report),
-            "4-shard run must be byte-identical to the single-threaded oracle"
-        );
-        assert_eq!(stats.threads, 4);
-        assert_eq!(stats.shards.len(), 4);
-        assert!(
-            stats.shards.iter().map(|s| s.msgs_sent).sum::<u64>() > 0,
-            "the smoke row must actually exercise cross-shard messaging"
-        );
+        let a = run_scale(&spec, 7);
+        let b = run_scale(&spec, 7);
+        assert_eq!(format!("{:?}", a.report), format!("{:?}", b.report));
+        assert_eq!(a.report.total_ops(), spec.total_ops() as f64);
     }
 }

@@ -103,11 +103,19 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. Frames arrive from
+/// the network and the parser recurses once per level (as do encoding
+/// and dropping the value), so an unbounded depth would let one frame
+/// overflow the stack. Every message in PROTOCOL.md nests at most three
+/// levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -121,6 +129,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open, bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -161,8 +171,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(c @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if c == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -430,6 +451,22 @@ mod tests {
             "\"\\ud800\"",
         ] {
             assert!(parse(src).is_err(), "{src:?} should fail");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_bound).is_ok());
+        let objects = format!("{}1{}", r#"{"k":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        for src in [
+            format!("[{at_bound}]"),
+            format!(r#"{{"k":{objects}}}"#),
+            "[".repeat(400_000),
+        ] {
+            let err = parse(&src).unwrap_err();
+            assert!(err.msg.contains("nesting"), "{err}");
         }
     }
 

@@ -4,7 +4,8 @@
 //! appear in the live trace stream, then shut down cleanly and check the
 //! final report. This is the CI "daemon smoke" step.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 
 use mantle_daemon::json::Json;
@@ -205,6 +206,67 @@ fn protocol_errors_are_reported_not_fatal() {
         .admin("scenario", vec![("name", Json::str("nope"))])
         .expect("error reply");
     assert_eq!(err.get_str("code"), Some("unknown-scenario"));
+
+    let ok = admin.admin("shutdown", vec![]).expect("shutdown");
+    assert_eq!(ok.get_str("type"), Some("ok"));
+    let (success, _) = daemon.finish();
+    assert!(success);
+}
+
+/// A 400 KB frame of nested `[` — far past any sane JSON depth — gets a
+/// protocol-error reply, and the daemon keeps serving.
+#[test]
+fn deeply_nested_frame_is_refused_not_fatal() {
+    let daemon = Daemon::spawn(&["--sessions=1", "--mds=2", "--clock=wall"]);
+
+    let mut raw = TcpStream::connect(&daemon.addr).expect("raw connect");
+    let body = "[".repeat(400_000);
+    let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(body.as_bytes());
+    raw.write_all(&frame).expect("frame sent");
+    let reply = mantle_daemon::wire::read_frame(&mut raw)
+        .expect("reply readable")
+        .expect("error reply before close");
+    assert_eq!(reply.get_str("type"), Some("error"), "reply: {reply}");
+    assert_eq!(reply.get_str("code"), Some("bad-frame"));
+
+    let mut admin = MantleClient::connect(&daemon.addr, "admin").expect("admin connects");
+    let status = admin.admin("status", vec![]).expect("daemon still serves");
+    assert_eq!(status.get_str("type"), Some("status"));
+
+    let ok = admin.admin("shutdown", vec![]).expect("shutdown");
+    assert_eq!(ok.get_str("type"), Some("ok"));
+    let (success, _) = daemon.finish();
+    assert!(success);
+}
+
+/// A `policy-swap` whose `metaload` nests 20 000 parentheses or unary
+/// minuses is rejected, the epoch stays put, and the daemon keeps serving.
+#[test]
+fn deeply_nested_policy_is_rejected_not_fatal() {
+    let daemon = Daemon::spawn(&["--sessions=1", "--mds=2", "--clock=wall"]);
+    let mut admin = MantleClient::connect(&daemon.addr, "admin").expect("admin connects");
+
+    for metaload in [
+        format!("{}IWR{}", "(".repeat(20_000), ")".repeat(20_000)),
+        format!("{}IWR", "- ".repeat(20_000)),
+    ] {
+        let mut bundle = swap_bundle();
+        if let Json::Obj(members) = &mut bundle {
+            members.retain(|(k, _)| k != "metaload");
+            members.push(("metaload".into(), Json::str(metaload)));
+        }
+        let rejected = admin
+            .admin("policy-swap", vec![("policy", bundle)])
+            .expect("rejection round-trips");
+        assert_eq!(rejected.get_str("code"), Some("policy-rejected"));
+        let shown = admin.admin("policy-show", vec![]).expect("policy-show");
+        assert_eq!(
+            shown.get_u64("epoch"),
+            Some(0),
+            "a rejected swap bumped the epoch"
+        );
+    }
 
     let ok = admin.admin("shutdown", vec![]).expect("shutdown");
     assert_eq!(ok.get_str("type"), Some("ok"));

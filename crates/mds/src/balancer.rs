@@ -292,8 +292,7 @@ impl MantleBalancer {
     }
 
     /// Select the policy evaluation engine explicitly (bytecode by
-    /// default; tree walker and slot evaluator are kept as differential
-    /// oracles, like `SchedulerKind::Heap` against the timing wheel).
+    /// default; the tree walker is kept as the differential oracle).
     pub fn with_engine(mut self, engine: HookEngine) -> Self {
         self.runtime = self.runtime.with_engine(engine);
         self

@@ -11,8 +11,7 @@
 //! * **mutating ops** (create / mkdir / setattr / unlink) invalidate the
 //!   touched directory's entries in every group at the next window
 //!   barrier, via the same deferred-op plumbing that applies heat
-//!   charges — so `ExecMode::Sharded` stays byte-identical to
-//!   `ExecMode::Single`;
+//!   charges;
 //! * **migrations and session flushes** invalidate the whole moved
 //!   region in one pass using the namespace's Euler-tour interval
 //!   labels ([`IntervalRegion`]) — a range scan over the caches'
@@ -23,12 +22,11 @@
 //! migration path used to run per client (the predicate path survives
 //! as a differential oracle in the unit tests below).
 //!
-//! Determinism: group caches live in [`crate::shard::SharedSim`] and are
-//! **read-only during windows**. Every mutation — fill, LRU touch,
+//! Determinism: group caches live in [`crate::dataplane::SharedSim`] and
+//! are **read-only during windows**. Every mutation — fill, LRU touch,
 //! dentry invalidation — is deferred and applied at the barrier in
-//! global `(time, key)` order, so the LRU clock and eviction order are
-//! pure functions of the merged event stream, independent of shard
-//! count.
+//! `(time, key)` order, so the LRU clock and eviction order are pure
+//! functions of the event stream.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -44,7 +42,7 @@ pub fn cacheable(kind: OpKind) -> bool {
 /// label span of the root subtree, minus the spans of the authority
 /// holes, restricted to directories that existed when the region was
 /// captured (`watermark`). Mirrors `SubtreeWindow::contains` exactly —
-/// the shard-equivalence suites depend on the two agreeing.
+/// freezes and invalidations depend on the two agreeing.
 #[derive(Debug, Clone)]
 pub struct IntervalRegion {
     root: NodeId,
@@ -199,8 +197,8 @@ impl ClientCache {
 /// Euler-label index [`ClientCache`] uses for region invalidation.
 ///
 /// The LRU clock (`tick`) only advances at window barriers, where touch
-/// and fill ops are applied in global `(time, key)` order — eviction
-/// order is therefore identical in every execution mode.
+/// and fill ops are applied in `(time, key)` order — eviction order is
+/// therefore a pure function of the event stream.
 #[derive(Debug, Clone)]
 pub struct GroupCache {
     capacity: usize,
@@ -336,7 +334,7 @@ impl GroupCache {
 
 /// The proxy group fronting `client`. Groups are contiguous client
 /// ranges (a proxy serves a rack of clients), a pure function of the
-/// client id — identical in every execution mode.
+/// client id.
 pub fn group_of(client: usize, num_clients: usize, groups: usize) -> usize {
     debug_assert!(client < num_clients && groups > 0);
     client * groups / num_clients
@@ -345,7 +343,7 @@ pub fn group_of(client: usize, num_clients: usize, groups: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::SubtreeWindow;
+    use crate::dataplane::SubtreeWindow;
     use mantle_sim::{SimRng, SimTime};
 
     fn grow(ns: &mut Namespace, rng: &mut SimRng, dirs: usize) -> Vec<NodeId> {

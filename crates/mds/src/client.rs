@@ -20,11 +20,7 @@ pub struct ClientOp {
 /// next operation whenever that client's previous one completes.
 ///
 /// The namespace is read-only during the run — all directory structure is
-/// built in [`Workload::setup`]. This is what lets the sharded engine hand
-/// each worker thread its own fork of the workload ([`Workload::fork`])
-/// and drive disjoint client slices concurrently: per-client generator
-/// state advances independently, so a fork driving only its own clients
-/// produces exactly the ops the original would have produced for them.
+/// built in [`Workload::setup`].
 pub trait Workload: Send {
     /// Number of clients this workload drives.
     fn num_clients(&self) -> usize;
@@ -41,15 +37,16 @@ pub trait Workload: Send {
     /// this to park a client until its next active window — the cluster
     /// reschedules the client's wakeup instead of calling
     /// [`Workload::next`]. Must be deterministic in `(client, now)` so
-    /// sharded execution stays byte-identical to single-threaded.
+    /// fixed-seed runs stay reproducible.
     fn next_ready_at(&mut self, client: usize, now: SimTime) -> Option<SimTime> {
         let _ = (client, now);
         None
     }
 
-    /// A boxed copy with identical per-client generator state. Each shard
-    /// gets one fork and only ever calls [`Workload::next`] for the
-    /// clients it owns.
+    /// A boxed copy with identical per-client generator state: driving the
+    /// copy produces exactly the ops the original would have produced.
+    /// The cluster never forks its workload; the repository benchmark
+    /// (`perfbench/`) implements this method, so it stays.
     fn fork(&self) -> Box<dyn Workload>;
 
     /// Workload name for reports.

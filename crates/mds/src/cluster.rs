@@ -1,52 +1,46 @@
 //! The cluster simulation: clients, MDS queues, heartbeats, balancer
-//! ticks, and migrations, driven by a conservative windowed event loop
-//! that runs single-threaded or sharded across worker threads
-//! ([`crate::config::ExecMode`]) with byte-identical results.
+//! ticks, and migrations, driven by a conservative windowed event loop.
 //!
 //! # Engine shape
 //!
 //! The data plane (clients, requests, per-MDS service queues) lives in
-//! [`Shard`]s — see [`crate::shard`] for the partitioning and determinism
-//! story. This module owns the **coordinator**: the control plane
-//! (heartbeats, balancer ticks, migrations, faults, admin actions) plus
-//! the window scheduler that alternates between
+//! the [`DataPlane`] — see [`crate::dataplane`] for the window and
+//! determinism story. This module owns the **coordinator**: the control
+//! plane (heartbeats, balancer ticks, migrations, faults, admin actions)
+//! plus the window scheduler that alternates between
 //!
-//! 1. **windows** — every shard concurrently drains its events inside
+//! 1. **windows** — the data plane drains its events inside
 //!    `[base, base + lookahead)`, then a barrier applies deferred
-//!    namespace mutations in global `(time, key)` order and exchanges
-//!    cross-shard messages, and
+//!    namespace mutations in `(time, key)` order, and
 //! 2. **exclusive steps** — global events (heartbeat ticks, faults,
 //!    admin actions) run alone between windows with write access to
-//!    everything, exactly like the old sequential engine.
+//!    everything.
 //!
-//! Both [`ExecMode::Single`] and [`ExecMode::Sharded`] drive the *same*
-//! loop; `Single` simply runs the one shard inline on the calling thread.
-//! Window boundaries, event keys, and barrier effects are all
-//! shard-count-invariant, so a fixed seed produces byte-identical
-//! [`RunReport`]s and traces at any thread count.
+//! Window boundaries and event keys fix when splits, pins and cache
+//! touches land, so a fixed seed produces a byte-identical [`RunReport`]
+//! and trace.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use mantle_namespace::{MdsId, Namespace, NodeId, NsConfig, SubtreeMigration};
 use mantle_sim::{EventQueue, SimRng, SimTime, Summary};
 
 use crate::balancer::{BalanceContext, Balancer, CephfsBalancer, MigrationPlan};
 use crate::cache::{GroupCache, IntervalRegion};
-use crate::client::{ClientState, Workload};
-use crate::config::{ClusterConfig, ExecMode, JoinPolicy};
+use crate::client::Workload;
+use crate::config::{ClusterConfig, JoinPolicy};
+use crate::dataplane::{
+    DataPlane, DeferredNsOp, Event, ExecStats, NsOp, SharedSim, SubtreeWindow, TraceKey,
+};
 use crate::elastic::rendezvous_owner;
 use crate::faults::FaultKind;
-use crate::metrics::{Heartbeat, MdsCounters};
+use crate::metrics::Heartbeat;
 use crate::partition::{plan_exports, subtree_load, Export, ExportUnit};
 use crate::report::{ClientReport, MdsReport, RunReport};
-use crate::shard::{
-    DeferredNsOp, Event, ExecStats, NsOp, Shard, ShardRouter, SharedSim, SpinBarrier,
-    SubtreeWindow, TraceKey,
-};
 use crate::trace::{TraceBuffer, TraceEvent, TraceLevel, TraceRecord};
 
 /// A balancer that never migrates — used for static-partition experiments
@@ -93,8 +87,8 @@ enum AdminOp {
 }
 
 /// A control-plane event. Globals always run in exclusive steps — never
-/// concurrently with a window — because they read and write cluster-wide
-/// state (the namespace, every shard's counters, liveness).
+/// inside a window — because they read and write cluster-wide state (the
+/// namespace, the per-MDS counters, liveness).
 #[derive(Debug)]
 enum GlobalEvent {
     /// Cluster-wide heartbeat + balancer tick.
@@ -105,14 +99,12 @@ enum GlobalEvent {
     Fault(usize),
 }
 
-/// The control plane. Lives on the coordinating thread for the whole
-/// run; worker threads never touch it (balancers and the trace handle
-/// are deliberately not `Sync`).
+/// The control plane.
 struct Coordinator {
     cfg: ClusterConfig,
     balancers: Vec<Box<dyn Balancer>>,
     /// CPU/metaload measurement noise. Coordinator-only, consumed in MDS
-    /// order once per tick — identical in every execution mode.
+    /// order once per tick.
     rng_cpu: SimRng,
     globals: EventQueue<GlobalEvent>,
     admin_actions: Vec<Option<AdminOp>>,
@@ -142,13 +134,13 @@ struct Coordinator {
     /// branch per emission site and never builds event payloads, so
     /// untraced fixed-seed runs stay byte-identical.
     trace: Option<Rc<RefCell<TraceBuffer>>>,
-    /// The sink's level is Full (mirrors the shards' `trace_full` so the
-    /// coordinator can gate its own data-plane emissions — barrier-time
+    /// The sink's level is Full (mirrors the data plane's `trace_full` so
+    /// the coordinator can gate its own data-plane emissions — barrier-time
     /// cache fills/invalidations — without borrowing the sink).
     trace_full: bool,
     /// Coordinator-side trace records with their merge keys. Coordinator
     /// emissions carry origin rank 0, so at equal timestamps they sort
-    /// before every shard emission — matching the exclusive-step /
+    /// before every data-plane emission — matching the exclusive-step /
     /// barrier ordering that produced them.
     ctrace: Vec<(TraceKey, TraceRecord)>,
     /// Monotonic rank-0 key counter.
@@ -157,7 +149,7 @@ struct Coordinator {
     /// postdate the last processed event; `RunEnd` must not precede them).
     last_emit_at: SimTime,
     /// Heartbeat epoch: balancer ticks completed so far (stamps records;
-    /// mirrored into [`SharedSim`] for the shards).
+    /// mirrored into [`SharedSim`] for the data plane).
     hb_epoch: u64,
     /// Directories already announced to the trace (`DirAdded` watermark).
     traced_dirs: u32,
@@ -288,10 +280,9 @@ impl Coordinator {
 pub struct Cluster {
     co: Coordinator,
     shared: SharedSim,
-    shards: Vec<Mutex<Shard>>,
-    router: ShardRouter,
-    /// Conservative window width: no simulated interaction crosses shards
-    /// faster than this (the minimum of half an RTT and a forward hop).
+    data: DataPlane,
+    /// Conservative window width: the minimum of half an RTT and a
+    /// forward hop.
     lookahead: SimTime,
 }
 
@@ -310,9 +301,6 @@ impl Cluster {
         });
         workload.setup(&mut ns);
         let n = cfg.num_mds;
-        let num_clients = workload.num_clients();
-        let shards_wanted = cfg.exec_mode.shards();
-        let router = ShardRouter::new(n, num_clients, shards_wanted);
         let master = SimRng::new(cfg.seed);
         let balancers: Vec<Box<dyn Balancer>> = (0..n).map(&mut make_balancer).collect();
         let balancer_name = balancers
@@ -321,26 +309,8 @@ impl Cluster {
             .unwrap_or_default();
         let faults_active = cfg.faults.is_active();
         let initial_members = cfg.elastic.initial(n);
-        // Every shard gets a fork of the post-setup workload and the
-        // contiguous slice of clients it owns; forks only ever see their
-        // own clients, so per-client op streams are partition-invariant.
-        let mut rest: Vec<ClientState> = (0..num_clients).map(ClientState::new).collect();
-        let shards: Vec<Mutex<Shard>> = (0..router.num_shards())
-            .map(|s| {
-                let take = router.clients_of_shard(s).len();
-                let remaining = rest.split_off(take);
-                let mine = std::mem::replace(&mut rest, remaining);
-                Mutex::new(Shard::new(
-                    s,
-                    &router,
-                    cfg.clone(),
-                    workload.fork(),
-                    mine,
-                    &master,
-                    false,
-                ))
-            })
-            .collect();
+        let workload_name = workload.name().to_string();
+        let data = DataPlane::new(cfg.clone(), workload, &master);
         let half_rtt = SimTime::from_micros_f64(cfg.costs.rtt_us / 2.0);
         let hop = SimTime::from_micros_f64(cfg.costs.forward_hop_us);
         // Degenerate zero-latency configs still need forward progress.
@@ -348,7 +318,7 @@ impl Cluster {
         let co = Coordinator {
             balancers,
             rng_cpu: master.stream("cpu-noise"),
-            globals: EventQueue::with_scheduler(cfg.scheduler),
+            globals: EventQueue::new(),
             admin_actions: Vec::new(),
             policy_errors: 0,
             poisoned: vec![false; n],
@@ -358,7 +328,7 @@ impl Cluster {
             hb_frozen: vec![None; n],
             hb_published: vec![Heartbeat::default(); n],
             balancer_name,
-            workload_name: workload.name().to_string(),
+            workload_name,
             failovers: 0,
             balancer_fallbacks: 0,
             cache_invalidations: 0,
@@ -384,9 +354,9 @@ impl Cluster {
             touched_seen: HashSet::new(),
             cfg,
         };
-        // Proxy-tier caches: one LRU per client group, shared by every
-        // shard (read-only in windows). Empty when disabled — the inert
-        // default adds no state and no per-event work.
+        // Proxy-tier caches: one LRU per client group (read-only in
+        // windows). Empty when disabled — the inert default adds no state
+        // and no per-event work.
         let caches = if co.cfg.cache.enabled {
             vec![GroupCache::new(co.cfg.cache.capacity); co.cfg.cache.groups.max(1)]
         } else {
@@ -408,8 +378,7 @@ impl Cluster {
         Cluster {
             co,
             shared,
-            shards,
-            router,
+            data,
             lookahead,
         }
     }
@@ -426,11 +395,7 @@ impl Cluster {
         self.co.trace = Some(Rc::clone(&buf));
         let full = level == TraceLevel::Full;
         self.co.trace_full = full;
-        for m in &self.shards {
-            m.lock()
-                .expect("no running workers before run()")
-                .trace_full = full;
-        }
+        self.data.trace_full = full;
         buf
     }
 
@@ -458,7 +423,7 @@ impl Cluster {
     }
 
     /// Schedule a hot policy install at a point in virtual time: every
-    /// MDS's balancer is swapped for a fresh [`MantleBalancer`] built
+    /// MDS's balancer is swapped for a fresh [`MantleBalancer`](crate::MantleBalancer) built
     /// from `set` in the coordinator's exclusive step, exactly as the
     /// live daemon's admin socket does it. The caller is responsible for
     /// having validated `set` (see [`mantle_policy::install::prepare`]);
@@ -488,10 +453,9 @@ impl Cluster {
         self.run_with_stats().0
     }
 
-    /// Run to completion, also returning execution statistics (thread
-    /// count, windows, per-shard event/message/barrier-stall breakdown).
-    /// The [`RunReport`] is identical in every [`ExecMode`]; the
-    /// [`ExecStats`] are a wall-clock side channel.
+    /// Run to completion, also returning execution statistics (windows,
+    /// exclusive steps, data-plane events). The [`ExecStats`] are a side
+    /// channel that never feeds back into the simulation.
     pub fn run_with_stats(self) -> (RunReport, ExecStats) {
         self.run_inner(None)
     }
@@ -499,18 +463,18 @@ impl Cluster {
     /// Run as a live service: the engine loop additionally pumps `svc` —
     /// draining submitted ops and policy installs before each scheduler
     /// iteration and streaming trace records and completions after it —
-    /// and, under [`ClockMode::Wall`], paces event processing so
+    /// and, under [`ClockMode::Wall`](mantle_sim::ClockMode::Wall), paces event processing so
     /// simulated time tracks wall time. Returns when the service is shut
     /// down ([`crate::service::ServiceHandle::shutdown`]) and every
     /// client has drained, or when the (scripted) workload finishes.
     ///
-    /// With [`ClockMode::Sim`], an empty inbox, and a scripted workload
+    /// With [`ClockMode::Sim`](mantle_sim::ClockMode::Sim), an empty inbox, and a scripted workload
     /// this is behaviorally identical to [`Cluster::run_with_stats`]:
     /// the pump observes the run without perturbing event order, which
     /// is what `tests/daemon_equivalence.rs` pins byte-for-byte.
     ///
     /// `trace` optionally attaches a trace sink whose records are
-    /// streamed live as [`ServiceEvent::Trace`] batches instead of
+    /// streamed live as [`ServiceEvent::Trace`](crate::ServiceEvent::Trace) batches instead of
     /// accumulating; the returned buffer holds the per-tick
     /// [`crate::trace::Timeline`] and nothing else.
     pub fn serve(
@@ -519,9 +483,7 @@ impl Cluster {
         trace: Option<TraceLevel>,
     ) -> (RunReport, Option<TraceBuffer>) {
         let sink = trace.map(|l| self.enable_tracing(l));
-        for m in &self.shards {
-            m.lock().expect("no workers before serve()").live = true;
-        }
+        self.data.live = true;
         let mut pump = ServicePump {
             inbox: svc.inbox,
             events: svc.events,
@@ -546,7 +508,6 @@ impl Cluster {
     }
 
     fn run_inner(mut self, pump: Option<&mut ServicePump>) -> (RunReport, ExecStats) {
-        let k = self.router.num_shards();
         let trace_on = self.co.trace.is_some();
         // Trace preamble: stream header, the setup-time tree, and the
         // explicit authority state (static partitions applied before run).
@@ -566,20 +527,16 @@ impl Cluster {
                 level,
                 heartbeat_us,
             });
-            let ns = std::mem::take(&mut self.shared.ns);
-            self.co.sync_dirs(&ns, SimTime::ZERO);
-            self.co.emit_auth_snapshot(&ns, SimTime::ZERO);
-            self.shared.ns = ns;
+            self.co.sync_dirs(&self.shared.ns, SimTime::ZERO);
+            self.co.emit_auth_snapshot(&self.shared.ns, SimTime::ZERO);
         }
-        // Kick off every client (client-rank keys preserve global client
-        // order for the time-zero ties) and the heartbeat cycle.
-        for m in &self.shards {
-            let mut g = m.lock().expect("no workers yet");
-            for c in self.router.clients_of_shard(g.id) {
-                let key = g.client_key(c);
-                g.queue
-                    .schedule_at_key(SimTime::ZERO, key, Event::ClientNext(c));
-            }
+        // Kick off every client (client-rank keys preserve client order
+        // for the time-zero ties) and the heartbeat cycle.
+        let dp = &mut self.data;
+        for c in 0..dp.clients.len() {
+            let key = dp.client_key(c);
+            dp.queue
+                .schedule_at_key(SimTime::ZERO, key, Event::ClientNext(c));
         }
         self.co
             .globals
@@ -589,103 +546,22 @@ impl Cluster {
             self.co.globals.schedule_at(at, GlobalEvent::Fault(i));
         }
 
-        let mut stats = ExecStats {
-            threads: k,
-            windows: 0,
-            exclusive_events: 0,
-            shards: Vec::new(),
-        };
-        let shared = RwLock::new(self.shared);
-        let last_now = {
-            let co = &mut self.co;
-            let shards = &self.shards[..];
-            let router = &self.router;
-            let lookahead = self.lookahead;
-            match co.cfg.exec_mode {
-                ExecMode::Single => {
-                    let mut run_window = |window_end: SimTime| {
-                        let sh = shared.read().expect("sim lock");
-                        for m in shards {
-                            m.lock()
-                                .expect("shard lock")
-                                .process_window(&sh, router, window_end);
-                        }
-                    };
-                    run_loop(
-                        co,
-                        &shared,
-                        shards,
-                        router,
-                        lookahead,
-                        &mut stats,
-                        &mut run_window,
-                        pump,
-                    )
-                }
-                ExecMode::Sharded { .. } => {
-                    // Thread-per-shard: workers park on a start barrier,
-                    // read the window command, drain their slice, and park
-                    // on the end barrier while the coordinator applies the
-                    // barrier effects. `u64::MAX` terminates.
-                    let cmd = AtomicU64::new(0);
-                    let start = SpinBarrier::new(k + 1);
-                    let end = SpinBarrier::new(k + 1);
-                    std::thread::scope(|scope| {
-                        for m in shards {
-                            let (shared, cmd, start, end) = (&shared, &cmd, &start, &end);
-                            scope.spawn(move || loop {
-                                let t0 = std::time::Instant::now();
-                                start.wait();
-                                let wait_ns = t0.elapsed().as_nanos() as u64;
-                                let c = cmd.load(Ordering::Acquire);
-                                if c == u64::MAX {
-                                    break;
-                                }
-                                let sh = shared.read().expect("sim lock");
-                                let mut g = m.lock().expect("shard lock");
-                                g.stats.barrier_wait_ns += wait_ns;
-                                g.process_window(&sh, router, SimTime::from_micros(c));
-                                drop(g);
-                                drop(sh);
-                                end.wait();
-                            });
-                        }
-                        let mut run_window = |window_end: SimTime| {
-                            cmd.store(window_end.as_micros(), Ordering::Release);
-                            start.wait();
-                            end.wait();
-                        };
-                        let res = run_loop(
-                            co,
-                            &shared,
-                            shards,
-                            router,
-                            lookahead,
-                            &mut stats,
-                            &mut run_window,
-                            pump,
-                        );
-                        cmd.store(u64::MAX, Ordering::Release);
-                        start.wait();
-                        res
-                    })
-                }
-            }
-        };
-        let shared = shared.into_inner().expect("workers joined");
-        let membership_epoch = shared.membership_epoch;
-        let mut shard_objs: Vec<Shard> = self
-            .shards
-            .into_iter()
-            .map(|m| m.into_inner().expect("workers joined"))
-            .collect();
-        let inflight: i64 = shard_objs.iter().map(|s| s.inflight).sum();
+        let mut stats = ExecStats::default();
+        let last_now = run_loop(
+            &mut self.co,
+            &mut self.shared,
+            &mut self.data,
+            self.lookahead,
+            &mut stats,
+            pump,
+        );
         let mut co = self.co;
+        let mut dp = self.data;
         if trace_on {
             // RunEnd is the stream trailer: it must sort after everything,
             // including barrier emissions stamped past the last event.
             let end_at = last_now.max(co.last_emit_at);
-            let inflight = inflight.max(0) as usize;
+            let inflight = dp.inflight.max(0) as usize;
             co.ctrace.push((
                 (end_at, u64::MAX, 0),
                 TraceRecord {
@@ -694,13 +570,10 @@ impl Cluster {
                     event: TraceEvent::RunEnd { inflight },
                 },
             ));
-            // Merge every per-shard slice with the coordinator's records.
-            // Keys are globally unique, so the sort is a total order — the
-            // exact sequence a sequential engine would have emitted.
+            // Merge the data-plane records with the coordinator's. Keys
+            // are unique, so the sort is a total order.
             let mut all = std::mem::take(&mut co.ctrace);
-            for s in &mut shard_objs {
-                all.append(&mut s.trace);
-            }
+            all.append(&mut dp.trace);
             all.sort_unstable_by_key(|(k, _)| *k);
             let sink = co.trace.as_ref().expect("trace checked above");
             let mut buf = sink.borrow_mut();
@@ -708,29 +581,25 @@ impl Cluster {
                 buf.push(r);
             }
         }
-        stats.shards = shard_objs.iter().map(|s| s.stats).collect();
-        (into_report(co, shard_objs, membership_epoch), stats)
+        stats.shards = vec![dp.stats];
+        (into_report(co, dp, self.shared.membership_epoch), stats)
     }
 }
 
-/// The shared window scheduler. `run_window` executes one window over
-/// every shard (inline or via worker threads); everything else — gather,
-/// exclusive global steps, barriers — is identical in both modes.
-/// Returns the timestamp of the last processed event.
+/// The window scheduler: gather, then either one exclusive global step or
+/// one window plus its barrier, until the run drains. Returns the
+/// timestamp of the last processed event.
 ///
 /// `pump` is the live-service hook ([`Cluster::serve`]): drained before
 /// the gather (command injection + wall pacing) and after each step
 /// (trace/completion streaming). Batch runs pass `None`, which skips
 /// both calls entirely — the scheduler's decisions are untouched.
-#[allow(clippy::too_many_arguments)]
 fn run_loop(
     co: &mut Coordinator,
-    shared: &RwLock<SharedSim>,
-    shards: &[Mutex<Shard>],
-    router: &ShardRouter,
+    sh: &mut SharedSim,
+    dp: &mut DataPlane,
     lookahead: SimTime,
     stats: &mut ExecStats,
-    run_window: &mut dyn FnMut(SimTime),
     mut pump: Option<&mut ServicePump>,
 ) -> SimTime {
     let max_d = co.cfg.max_duration;
@@ -739,28 +608,16 @@ fn run_loop(
     let mut last_now = SimTime::ZERO;
     loop {
         if let Some(p) = pump.as_deref_mut() {
-            pump_pre(p, co, shared, shards, last_now);
+            pump_pre(p, co, sh, dp, last_now);
         }
         // Gather: next event time, liveness, and conservation counts.
-        let mut t_shard: Option<SimTime> = None;
-        let mut active = 0usize;
-        let mut inflight = 0i64;
-        for m in shards {
-            let g = m.lock().expect("shard lock");
-            if let Some(t) = g.queue.peek_time() {
-                t_shard = Some(t_shard.map_or(t, |x: SimTime| x.min(t)));
-            }
-            active += g.active;
-            inflight += g.inflight;
-            if g.last_event > last_now {
-                last_now = g.last_event;
-            }
-        }
-        if active == 0 && inflight == 0 {
+        let t_data = dp.queue.peek_time();
+        last_now = last_now.max(dp.last_event);
+        if dp.active == 0 && dp.inflight == 0 {
             break;
         }
         let t_glob = co.globals.peek_time();
-        let t_min = match (t_shard, t_glob) {
+        let t_min = match (t_data, t_glob) {
             (None, None) => break,
             (a, b) => a.into_iter().chain(b).min().expect("one is Some"),
         };
@@ -769,42 +626,32 @@ fn run_loop(
         }
         // Globals run exclusively, winning same-instant ties — the
         // heartbeat at T sees the world as of T, before events at T.
-        let global_first = match (t_glob, t_shard) {
-            (Some(tg), Some(ts)) => tg <= ts,
+        let global_first = match (t_glob, t_data) {
+            (Some(tg), Some(td)) => tg <= td,
             (Some(_), None) => true,
             _ => false,
         };
         if global_first {
             let (tg, gev) = co.globals.pop().expect("peeked above");
             last_now = last_now.max(tg);
-            let mut sh = shared.write().expect("sim lock");
-            let mut guards: Vec<MutexGuard<Shard>> = shards
-                .iter()
-                .map(|m| m.lock().expect("shard lock"))
-                .collect();
-            exclusive_step(co, &mut sh, &mut guards, router, gev, tg);
+            exclusive_step(co, sh, dp, gev, tg);
             stats.exclusive_events += 1;
         } else {
-            let base = t_shard.expect("not global_first");
+            let base = t_data.expect("not global_first");
             let mut window_end = (base + lookahead).min(hard_end);
             if let Some(tg) = t_glob {
                 window_end = window_end.min(tg);
             }
-            run_window(window_end);
+            dp.process_window(sh, window_end);
             stats.windows += 1;
-            let mut sh = shared.write().expect("sim lock");
-            let mut guards: Vec<MutexGuard<Shard>> = shards
-                .iter()
-                .map(|m| m.lock().expect("shard lock"))
-                .collect();
-            barrier_apply(co, &mut sh, &mut guards, router, window_end);
+            barrier_apply(co, sh, dp, window_end);
         }
         if let Some(p) = pump.as_deref_mut() {
-            pump_post(p, co, shards);
+            pump_post(p, co, dp);
         }
     }
     if let Some(p) = pump {
-        pump_post(p, co, shards);
+        pump_post(p, co, dp);
     }
     last_now
 }
@@ -824,8 +671,8 @@ struct ServicePump {
 fn pump_pre(
     pump: &mut ServicePump,
     co: &mut Coordinator,
-    shared: &RwLock<SharedSim>,
-    shards: &[Mutex<Shard>],
+    sh: &mut SharedSim,
+    dp: &DataPlane,
     last_now: SimTime,
 ) {
     use crate::service::ServiceCmd;
@@ -849,12 +696,8 @@ fn pump_pre(
                     // the engine's time frontier, so the namespace stays
                     // read-only inside windows and the trace stream
                     // announces the dir before any op touches it.
-                    let dir = {
-                        let mut sh = shared.write().expect("sim lock");
-                        let dir = sh.ns.mkdir_p(&path);
-                        co.sync_dirs(&sh.ns, last_now);
-                        dir
-                    };
+                    let dir = sh.ns.mkdir_p(&path);
+                    co.sync_dirs(&sh.ns, last_now);
                     slot.lock()
                         .expect("live queue never poisoned")
                         .push_back(crate::client::ClientOp { dir, kind });
@@ -896,17 +739,11 @@ fn pump_pre(
         // due or the inbox signals. Spurious wakeups just loop: the
         // deadline is re-derived every pass, so newly injected (earlier)
         // events shorten the sleep and overdue backlogs skip it.
-        let mut t_min = co.globals.peek_time();
-        let (mut active, mut inflight) = (0usize, 0i64);
-        for m in shards {
-            let g = m.lock().expect("shard lock");
-            if let Some(t) = g.queue.peek_time() {
-                t_min = Some(t_min.map_or(t, |x: SimTime| x.min(t)));
-            }
-            active += g.active;
-            inflight += g.inflight;
-        }
-        if active == 0 && inflight == 0 {
+        let t_min = match (co.globals.peek_time(), dp.queue.peek_time()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        if dp.active == 0 && dp.inflight == 0 {
             // Drained: the caller's liveness check ends the run. Sleeping
             // here would stall shutdown until the next (now moot) global
             // event — typically a whole heartbeat interval away.
@@ -935,14 +772,10 @@ fn pump_pre(
 /// are globally ordered within a batch (the `(time, key)` sort), and
 /// batches are time-ordered because the scheduler frontier only moves
 /// forward — concatenated batches reproduce the batch-mode stream.
-fn pump_post(pump: &mut ServicePump, co: &mut Coordinator, shards: &[Mutex<Shard>]) {
+fn pump_post(pump: &mut ServicePump, co: &mut Coordinator, dp: &mut DataPlane) {
     let mut recs: Vec<(TraceKey, TraceRecord)> = std::mem::take(&mut co.ctrace);
-    let mut comps: Vec<crate::service::LiveCompletion> = Vec::new();
-    for m in shards {
-        let mut g = m.lock().expect("shard lock");
-        recs.append(&mut g.trace);
-        comps.append(&mut g.completions);
-    }
+    recs.append(&mut dp.trace);
+    let mut comps = std::mem::take(&mut dp.completions);
     if !recs.is_empty() {
         recs.sort_unstable_by_key(|(k, _)| *k);
         let _ = pump.events.send(crate::service::ServiceEvent::Trace(
@@ -950,9 +783,8 @@ fn pump_post(pump: &mut ServicePump, co: &mut Coordinator, shards: &[Mutex<Shard
         ));
     }
     if !comps.is_empty() {
-        // Cross-shard merge: completion order is deterministic by
-        // (time, client) — clients are closed-loop, so one instant never
-        // holds two completions for the same client.
+        // Completion order is (time, client) — clients are closed-loop,
+        // so one instant never holds two completions for the same client.
         comps.sort_unstable_by_key(|c| (c.at, c.client));
         let _ = pump
             .events
@@ -960,37 +792,21 @@ fn pump_post(pump: &mut ServicePump, co: &mut Coordinator, shards: &[Mutex<Shard
     }
 }
 
-/// Resolve the shard owning MDS `m` out of the full guard set.
-fn mds_shard<'a, 'g>(
-    shards: &'a mut [MutexGuard<'g, Shard>],
-    router: &ShardRouter,
-    m: MdsId,
-) -> &'a mut Shard {
-    &mut shards[router.shard_of_mds(m)]
-}
-
 /// Window barrier: apply the window's deferred namespace mutations in
-/// global `(time, key)` order, run fragment splits, deliver cross-shard
-/// messages, and purge lapsed freeze/cold windows. Runs with every shard
-/// locked and exclusive access to [`SharedSim`]; its effects are a pure
-/// function of the merged per-shard outputs, so they are identical no
-/// matter how many shards produced them.
+/// `(time, key)` order, run fragment splits, and purge lapsed freeze/cold
+/// windows.
 fn barrier_apply(
     co: &mut Coordinator,
     sh: &mut SharedSim,
-    shards: &mut [MutexGuard<Shard>],
-    router: &ShardRouter,
+    dp: &mut DataPlane,
     window_end: SimTime,
 ) {
-    // Phase A — heat/size charges and hash pins, in the order a
-    // sequential engine would have applied them. Splits are deliberately
-    // excluded (phase B) so every charge in this window lands on the
-    // fragment layout the shards routed against.
+    // Phase A — heat/size charges and hash pins, in `(time, key)` order.
+    // Splits are deliberately excluded (phase B) so every charge in this
+    // window lands on the fragment layout the data plane routed against.
     let mut ops = std::mem::take(&mut co.scratch_deferred);
     ops.clear();
-    for g in shards.iter_mut() {
-        ops.append(&mut g.deferred);
-    }
+    ops.append(&mut dp.deferred);
     ops.sort_unstable_by_key(|d| (d.at, d.key));
     let mut touched = std::mem::take(&mut co.scratch_touched);
     let mut seen = std::mem::take(&mut co.touched_seen);
@@ -1006,8 +822,7 @@ fn barrier_apply(
             }
             NsOp::Pin { dir, mds } => {
                 // First arrival (in key order) wins; later deferred pins
-                // for the same dir are no-ops, exactly like the second
-                // arrival in a sequential run.
+                // for the same dir are no-ops.
                 if sh.ns.dir(dir).auth.is_none() {
                     sh.ns.set_auth(dir, Some(mds));
                     co.emit(window_end, || TraceEvent::HashPin { dir, mds });
@@ -1049,31 +864,15 @@ fn barrier_apply(
             });
             let auth = sh.ns.frag_auth(dir, se.resulting_frags - 1);
             let split_us = co.cfg.costs.split_us;
-            let g = mds_shard(shards, router, auth);
-            let c = g.counters_mut(auth);
+            let c = &mut dp.counters[auth];
             c.splits += 1;
             c.busy_window_us += split_us;
-            let l = auth - g.mds_lo;
-            g.next_free[l] = g.next_free[l].max(window_end) + SimTime::from_micros_f64(split_us);
+            dp.next_free[auth] =
+                dp.next_free[auth].max(window_end) + SimTime::from_micros_f64(split_us);
         }
     }
     co.scratch_touched = touched;
     co.touched_seen = seen;
-    // Deliver cross-shard messages. Order is irrelevant — every message
-    // carries its total-order `(at, key)` and queues sort on it.
-    let mut bin: Vec<crate::shard::CrossShardMsg> = Vec::new();
-    for s in 0..shards.len() {
-        for t in 0..shards.len() {
-            if t == s || shards[s].outbox[t].is_empty() {
-                continue;
-            }
-            std::mem::swap(&mut bin, &mut shards[s].outbox[t]);
-            for msg in bin.drain(..) {
-                shards[t].queue.schedule_at_key(msg.at, msg.key, msg.event);
-            }
-            std::mem::swap(&mut bin, &mut shards[s].outbox[t]);
-        }
-    }
     // Lapsed freeze / cold-prefix windows can only be purged here —
     // in-window readers filter by `until` and never mutate the shared set.
     sh.frozen.retain(|w| w.until > window_end);
@@ -1082,17 +881,16 @@ fn barrier_apply(
 
 /// Run one global (control-plane) event with exclusive access to the
 /// whole simulation. Globals never overlap windows, so everything here
-/// reads and writes as freely as the old sequential engine did.
+/// reads and writes freely.
 fn exclusive_step(
     co: &mut Coordinator,
     sh: &mut SharedSim,
-    shards: &mut [MutexGuard<Shard>],
-    router: &ShardRouter,
+    dp: &mut DataPlane,
     ev: GlobalEvent,
     now: SimTime,
 ) {
     match ev {
-        GlobalEvent::Heartbeat => on_heartbeat(co, sh, shards, router, now),
+        GlobalEvent::Heartbeat => on_heartbeat(co, sh, dp, now),
         GlobalEvent::Admin(idx) => match co.admin_actions[idx].take() {
             Some(AdminOp::Ns(action)) => {
                 action(&mut sh.ns);
@@ -1110,7 +908,7 @@ fn exclusive_step(
             }) => install_policy(co, name, epoch, set, engine, ack, now),
             None => {}
         },
-        GlobalEvent::Fault(idx) => on_fault(co, sh, shards, router, idx, now),
+        GlobalEvent::Fault(idx) => on_fault(co, sh, dp, idx, now),
     }
 }
 
@@ -1163,8 +961,7 @@ fn install_policy(
 fn on_fault(
     co: &mut Coordinator,
     sh: &mut SharedSim,
-    shards: &mut [MutexGuard<Shard>],
-    router: &ShardRouter,
+    dp: &mut DataPlane,
     idx: usize,
     now: SimTime,
 ) {
@@ -1177,7 +974,7 @@ fn on_fault(
             }
             sh.up[mds] = false;
             sh.mds_epoch[mds] += 1;
-            mds_shard(shards, router, mds).counters_mut(mds).queued = 0;
+            dp.counters[mds].queued = 0;
             co.sync_dirs(&sh.ns, now);
             co.emit(now, || TraceEvent::MdsCrash { mds });
             // Every subtree and dirfrag it served fails over to the
@@ -1203,9 +1000,7 @@ fn on_fault(
             sh.up[mds] = true;
             co.emit(now, || TraceEvent::MdsRestart { mds });
             // Fresh queue, nothing owed from the previous incarnation.
-            let g = mds_shard(shards, router, mds);
-            let l = mds - g.mds_lo;
-            g.next_free[l] = now;
+            dp.next_free[mds] = now;
         }
         FaultKind::Slowdown {
             mds,
@@ -1256,13 +1051,7 @@ fn on_fault(
 }
 
 /// Cluster-wide heartbeat + balancer tick.
-fn on_heartbeat(
-    co: &mut Coordinator,
-    sh: &mut SharedSim,
-    shards: &mut [MutexGuard<Shard>],
-    router: &ShardRouter,
-    now: SimTime,
-) {
+fn on_heartbeat(co: &mut Coordinator, sh: &mut SharedSim, dp: &mut DataPlane, now: SimTime) {
     // Catch the trace's namespace model up under the *old* epoch —
     // every record carries `epoch == ticks seen so far` except the tick
     // itself, which announces the increment.
@@ -1274,14 +1063,12 @@ fn on_heartbeat(
     co.mds_seconds += co.active_count as f64 * (now.as_secs_f64() - co.last_accrual.as_secs_f64());
     co.last_accrual = now;
     // 1. Every MDS packages up its metrics ("send HB").
-    let heartbeats = snapshot_heartbeats(co, sh, shards, router, now);
+    let heartbeats = snapshot_heartbeats(co, sh, dp, now);
     // Timeline + tick record before the windows roll, so the sampled
     // queue depth / throughput are the ones the balancers will act on.
     if let Some(t) = &co.trace {
         let mut b = t.borrow_mut();
-        for m in 0..co.cfg.num_mds {
-            let g = &shards[router.shard_of_mds(m)];
-            let c = &g.counters[m - g.mds_lo];
+        for (m, c) in dp.counters.iter().enumerate() {
             b.timeline.sample(
                 now,
                 m,
@@ -1296,19 +1083,17 @@ fn on_heartbeat(
         co.emit(now, || TraceEvent::HeartbeatTick { loads });
     }
     // 2. Roll the measurement windows (cache tallies roll with them).
-    for g in shards.iter_mut() {
-        for c in &mut g.counters {
-            c.roll_window();
-        }
-        g.cache_window_hits.iter_mut().for_each(|x| *x = 0);
-        g.cache_window_misses.iter_mut().for_each(|x| *x = 0);
+    for c in &mut dp.counters {
+        c.roll_window();
     }
+    dp.cache_window_hits.iter_mut().for_each(|x| *x = 0);
+    dp.cache_window_misses.iter_mut().for_each(|x| *x = 0);
     // 2½. The elastic controller: evaluate the `howmany` hook over the
     //     member-filtered snapshots and take at most one membership
     //     transition (join or drain) per tick. No-op when disabled.
     let elastic = co.cfg.elastic.enabled;
     if elastic {
-        elastic_step(co, sh, shards, router, &heartbeats, now);
+        elastic_step(co, sh, dp, &heartbeats, now);
     }
     // The post-transition member view the balancers run against. With
     // elasticity off this is the identity (all MDSs are members) and the
@@ -1401,12 +1186,11 @@ fn on_heartbeat(
             });
         }
         for export in exports {
-            apply_export(co, sh, shards, router, m, export, now);
+            apply_export(co, sh, dp, m, export, now);
         }
     }
     // 4. Next tick, while clients are still running.
-    let active: usize = shards.iter().map(|g| g.active).sum();
-    if active > 0 {
+    if dp.active > 0 {
         co.globals
             .schedule_at(now + co.cfg.heartbeat_interval, GlobalEvent::Heartbeat);
     }
@@ -1415,12 +1199,11 @@ fn on_heartbeat(
 /// One elastic-controller tick: ask the `howmany` hook for a target MDS
 /// count and take at most one membership transition toward it. Runs in
 /// the exclusive heartbeat step, so membership state, the namespace, and
-/// every shard are writable — exactly like fault handling.
+/// the data plane are writable — exactly like fault handling.
 fn elastic_step(
     co: &mut Coordinator,
     sh: &mut SharedSim,
-    shards: &mut [MutexGuard<Shard>],
-    router: &ShardRouter,
+    dp: &mut DataPlane,
     heartbeats: &Arc<[Heartbeat]>,
     now: SimTime,
 ) {
@@ -1451,9 +1234,9 @@ fn elastic_step(
     };
     let want = (target.round() as i64).clamp(min_mds as i64, max_mds as i64) as usize;
     if want > active {
-        join_one(co, sh, shards, router, heartbeats, &members, now);
+        join_one(co, sh, dp, heartbeats, &members, now);
     } else if want < active {
-        leave_one(co, sh, shards, router, &members, now);
+        leave_one(co, sh, dp, &members, now);
     }
 }
 
@@ -1461,12 +1244,11 @@ fn elastic_step(
 /// the configured [`JoinPolicy`]. The whole join — epoch bump, member
 /// flip, re-home migrations — happens inside this exclusive step, so the
 /// `MdsJoinStart` → `MdsJoinComplete` chain can never be split by a
-/// concurrent fault or window.
+/// fault or window.
 fn join_one(
     co: &mut Coordinator,
     sh: &mut SharedSim,
-    shards: &mut [MutexGuard<Shard>],
-    router: &ShardRouter,
+    dp: &mut DataPlane,
     heartbeats: &Arc<[Heartbeat]>,
     members: &[MdsId],
     now: SimTime,
@@ -1505,7 +1287,7 @@ fn join_one(
                             to: j,
                             load: 0.0,
                         };
-                        apply_export(co, sh, shards, router, src, export, now);
+                        apply_export(co, sh, dp, src, export, now);
                         rehomed += 1;
                     }
                 }
@@ -1546,7 +1328,7 @@ fn join_one(
                         to: j,
                         load: 0.0,
                     };
-                    apply_export(co, sh, shards, router, src, export, now);
+                    apply_export(co, sh, dp, src, export, now);
                     rehomed = 1;
                 }
             }
@@ -1567,8 +1349,7 @@ fn join_one(
 fn leave_one(
     co: &mut Coordinator,
     sh: &mut SharedSim,
-    shards: &mut [MutexGuard<Shard>],
-    router: &ShardRouter,
+    dp: &mut DataPlane,
     members: &[MdsId],
     now: SimTime,
 ) {
@@ -1600,7 +1381,7 @@ fn leave_one(
                     to: rendezvous_owner(dir, &remaining),
                     load: 0.0,
                 };
-                apply_export(co, sh, shards, router, victim, export, now);
+                apply_export(co, sh, dp, victim, export, now);
                 drained += 1;
             } else {
                 // Frag-only ownership: ship the victim's fragments.
@@ -1612,7 +1393,7 @@ fn leave_one(
                             to: rendezvous_owner(dir, &remaining),
                             load: 0.0,
                         };
-                        apply_export(co, sh, shards, router, victim, export, now);
+                        apply_export(co, sh, dp, victim, export, now);
                         drained += 1;
                     }
                 }
@@ -1635,8 +1416,7 @@ fn leave_one(
 fn snapshot_heartbeats(
     co: &mut Coordinator,
     sh: &mut SharedSim,
-    shards: &mut [MutexGuard<Shard>],
-    router: &ShardRouter,
+    dp: &mut DataPlane,
     now: SimTime,
 ) -> Arc<[Heartbeat]> {
     let n = co.cfg.num_mds;
@@ -1710,23 +1490,12 @@ fn snapshot_heartbeats(
     }
     let fresh: Vec<Heartbeat> = (0..n)
         .map(|m| {
-            let g = &shards[router.shard_of_mds(m)];
-            let c = &g.counters[m - g.mds_lo];
+            let c = &dp.counters[m];
             let cpu_raw = c.cpu_percent(co.cfg.heartbeat_interval);
             let cpu = (cpu_raw * co.rng_cpu.jitter(co.cfg.cpu_noise)).clamp(0.0, 100.0);
             // Loads are instantaneous samples shipped over the wire —
             // every reader sees them with sampling error (§2.2.2).
             let load_jitter = co.rng_cpu.jitter(co.cfg.metaload_noise);
-            // Cache tallies live per shard (any shard's clients can hit
-            // an entry naming any MDS); the heartbeat view sums them.
-            let cache_hits = shards
-                .iter()
-                .map(|g| g.cache_window_hits[m] as f64)
-                .sum::<f64>();
-            let cache_misses = shards
-                .iter()
-                .map(|g| g.cache_window_misses[m] as f64)
-                .sum::<f64>();
             Heartbeat {
                 auth_metaload: auth_load[m] * load_jitter,
                 all_metaload: all_load[m] * load_jitter,
@@ -1734,8 +1503,8 @@ fn snapshot_heartbeats(
                 mem: 20.0 + 0.5 * auth_load[m].min(100.0),
                 queue_len: c.queued as f64,
                 req_rate: c.req_rate(co.cfg.heartbeat_interval),
-                cache_hits,
-                cache_misses,
+                cache_hits: dp.cache_window_hits[m] as f64,
+                cache_misses: dp.cache_window_misses[m] as f64,
                 taken_at: now,
             }
         })
@@ -1766,8 +1535,7 @@ fn snapshot_heartbeats(
 fn apply_export(
     co: &mut Coordinator,
     sh: &mut SharedSim,
-    shards: &mut [MutexGuard<Shard>],
-    router: &ShardRouter,
+    dp: &mut DataPlane,
     from: MdsId,
     export: Export,
     now: SimTime,
@@ -1857,17 +1625,11 @@ fn apply_export(
         co.emit(now, || TraceEvent::MigrationUnfreeze { mig, root, thaw });
     }
     for &m in &[from, to] {
-        let g = mds_shard(shards, router, m);
-        let l = m - g.mds_lo;
-        g.next_free[l] = g.next_free[l].max(now) + SimTime::from_micros_f64(journal_us);
-        g.counters[l].busy_window_us += journal_us;
+        dp.next_free[m] = dp.next_free[m].max(now) + SimTime::from_micros_f64(journal_us);
+        dp.counters[m].busy_window_us += journal_us;
     }
-    {
-        let g = mds_shard(shards, router, from);
-        let l = from - g.mds_lo;
-        g.counters[l].migrations_out += 1;
-        g.counters[l].inodes_exported += moved;
-    }
+    dp.counters[from].migrations_out += 1;
+    dp.counters[from].inodes_exported += moved;
     // The importer's ancestor-prefix replicas need to warm up; the
     // exported subtree's own directories are cold too.
     let warm = now + SimTime::from_micros_f64(co.cfg.costs.prefix_warmup_us);
@@ -1892,48 +1654,27 @@ fn apply_export(
         }
     }
     let ns = &sh.ns;
-    for g in shards.iter_mut() {
-        for c in &mut g.clients {
-            if !c.done {
-                co.cache_invalidations += c.invalidate_region(ns, &iregion);
-                let until = now + flush;
-                if until > c.stall_until {
-                    c.stall_until = until;
-                }
-                flushed += 1;
+    for c in &mut dp.clients {
+        if !c.done {
+            co.cache_invalidations += c.invalidate_region(ns, &iregion);
+            let until = now + flush;
+            if until > c.stall_until {
+                c.stall_until = until;
             }
+            flushed += 1;
         }
     }
-    mds_shard(shards, router, from)
-        .counters_mut(from)
-        .sessions_flushed += flushed;
+    dp.counters[from].sessions_flushed += flushed;
     co.emit(now, || TraceEvent::SessionFlush {
         mds: from,
         clients: flushed,
     });
 }
 
-/// Assemble the report from the coordinator and the drained shards.
-/// Shards own contiguous id slices in order, so concatenating their
-/// counters/clients reproduces the global id order.
-fn into_report(co: Coordinator, shards: Vec<Shard>, membership_epoch: u64) -> RunReport {
-    let mut counters: Vec<MdsCounters> = Vec::new();
-    let mut clients: Vec<ClientState> = Vec::new();
-    let mut timeouts = 0u64;
-    let mut retries = 0u64;
-    // Cache attribution arrays are per-shard over *global* MDS ids.
-    let mut cache_hits = vec![0u64; co.cfg.num_mds];
-    let mut cache_misses = vec![0u64; co.cfg.num_mds];
-    for s in shards {
-        for m in 0..co.cfg.num_mds {
-            cache_hits[m] += s.cache_hits[m];
-            cache_misses[m] += s.cache_misses[m];
-        }
-        counters.extend(s.counters);
-        clients.extend(s.clients);
-        timeouts += s.timeouts;
-        retries += s.retries;
-    }
+/// Assemble the report from the coordinator and the drained data plane.
+fn into_report(co: Coordinator, dp: DataPlane, membership_epoch: u64) -> RunReport {
+    let (counters, clients) = (dp.counters, dp.clients);
+    let (cache_hits, cache_misses) = (dp.cache_hits, dp.cache_misses);
     let makespan = clients
         .iter()
         .map(|c| c.finished_at)
@@ -1979,8 +1720,8 @@ fn into_report(co: Coordinator, shards: Vec<Shard>, membership_epoch: u64) -> Ru
             })
             .collect(),
         sessions_flushed: sessions,
-        timeouts,
-        retries,
+        timeouts: dp.timeouts,
+        retries: dp.retries,
         failovers: co.failovers,
         balancer_fallbacks: co.balancer_fallbacks,
         cache_hits: cache_hits.iter().sum(),
@@ -1997,7 +1738,7 @@ fn into_report(co: Coordinator, shards: Vec<Shard>, membership_epoch: u64) -> Ru
 mod tests {
     use super::*;
     use crate::client::ClientOp;
-    use crate::shard::{frozen_until, Request};
+    use crate::dataplane::{frozen_until, Request};
     use mantle_namespace::OpKind;
 
     /// A trivial workload: each client creates `count` files in its own
@@ -2081,34 +1822,6 @@ mod tests {
         assert_ne!(
             a.makespan, c.makespan,
             "different seeds give different noise"
-        );
-    }
-
-    #[test]
-    fn sharded_run_matches_single_threaded_oracle() {
-        // The full matrix (all balancers × fault scenarios × 2/4/8
-        // threads) lives in tests/shard_equivalence.rs; this is the
-        // fast in-crate smoke check of the same property.
-        let run = |mode: ExecMode| {
-            let cfg = ClusterConfig {
-                num_mds: 3,
-                seed: 11,
-                heartbeat_interval: SimTime::from_millis(400),
-                frag_split_threshold: 500,
-                exec_mode: mode,
-                ..Default::default()
-            };
-            Cluster::new(cfg, Box::new(TinyCreate::new(4, 500)), |_| {
-                Box::new(NoopBalancer)
-            })
-            .run()
-        };
-        let single = run(ExecMode::Single);
-        let sharded = run(ExecMode::Sharded { threads: 2 });
-        assert_eq!(
-            format!("{single:?}"),
-            format!("{sharded:?}"),
-            "2-shard run must be byte-identical to the single-threaded oracle"
         );
     }
 
@@ -2304,23 +2017,18 @@ mod tests {
             let ns = cluster.namespace_mut();
             (ns.mkdir_p("/a"), ns.mkdir_p("/a/b"))
         };
-        {
-            let mut guards: Vec<MutexGuard<Shard>> =
-                cluster.shards.iter().map(|m| m.lock().unwrap()).collect();
-            apply_export(
-                &mut cluster.co,
-                &mut cluster.shared,
-                &mut guards,
-                &cluster.router,
-                0,
-                Export {
-                    unit: ExportUnit::Subtree(a),
-                    to: 1,
-                    load: 1.0,
-                },
-                SimTime::ZERO,
-            );
-        }
+        apply_export(
+            &mut cluster.co,
+            &mut cluster.shared,
+            &mut cluster.data,
+            0,
+            Export {
+                unit: ExportUnit::Subtree(a),
+                to: 1,
+                load: 1.0,
+            },
+            SimTime::ZERO,
+        );
         assert!(
             frozen_until(&cluster.shared, a, SimTime::ZERO).is_some(),
             "root frozen"
@@ -2340,13 +2048,13 @@ mod tests {
             seq: 1,
             attempts: 0,
         };
-        let mut g = cluster.shards[0].lock().unwrap();
-        let key = g.client_key(0);
-        g.queue
+        let dp = &mut cluster.data;
+        let key = dp.client_key(0);
+        dp.queue
             .schedule_at_key(SimTime::ZERO, key, Event::Arrive { mds: 1, req });
-        g.process_window(&cluster.shared, &cluster.router, SimTime::from_micros(1));
+        dp.process_window(&cluster.shared, SimTime::from_micros(1));
         assert_eq!(
-            g.queue.peek_time(),
+            dp.queue.peek_time(),
             Some(thaw),
             "descendant request re-scheduled for the thaw, not served"
         );
@@ -2372,38 +2080,29 @@ mod tests {
             (a, ab)
         };
         // The client learned MDS 2 serves both dirs.
-        {
-            let mut g = cluster.shards[0].lock().unwrap();
-            g.clients[0].learn(&cluster.shared.ns, a, 2);
-            g.clients[0].learn(&cluster.shared.ns, ab, 2);
-        }
+        cluster.data.clients[0].learn(&cluster.shared.ns, a, 2);
+        cluster.data.clients[0].learn(&cluster.shared.ns, ab, 2);
         // MDS 2 exports the subtree to MDS 1.
-        {
-            let mut guards: Vec<MutexGuard<Shard>> =
-                cluster.shards.iter().map(|m| m.lock().unwrap()).collect();
-            apply_export(
-                &mut cluster.co,
-                &mut cluster.shared,
-                &mut guards,
-                &cluster.router,
-                2,
-                Export {
-                    unit: ExportUnit::Subtree(a),
-                    to: 1,
-                    load: 1.0,
-                },
-                SimTime::ZERO,
-            );
-        }
+        apply_export(
+            &mut cluster.co,
+            &mut cluster.shared,
+            &mut cluster.data,
+            2,
+            Export {
+                unit: ExportUnit::Subtree(a),
+                to: 1,
+                load: 1.0,
+            },
+            SimTime::ZERO,
+        );
         let op = ClientOp {
             dir: ab,
             kind: OpKind::Stat,
         };
         let frag = cluster.shared.ns.peek_frag(ab);
         let multi = cluster.shared.ns.frag_owners(ab).len() > 1;
-        let mut g = cluster.shards[0].lock().unwrap();
         assert_eq!(
-            g.clients[0].route(&cluster.shared.ns, &op, frag, multi),
+            cluster.data.clients[0].route(&cluster.shared.ns, &op, frag, multi),
             0,
             "descendant cache entry cleared: route falls back to the mount authority"
         );
@@ -2422,39 +2121,29 @@ mod tests {
             Box::new(NoopBalancer)
         });
         let a = cluster.namespace_mut().mkdir_p("/a");
-        {
-            let mut guards: Vec<MutexGuard<Shard>> =
-                cluster.shards.iter().map(|m| m.lock().unwrap()).collect();
-            apply_export(
-                &mut cluster.co,
-                &mut cluster.shared,
-                &mut guards,
-                &cluster.router,
-                0,
-                Export {
-                    unit: ExportUnit::Subtree(a),
-                    to: 1,
-                    load: 1.0,
-                },
-                SimTime::ZERO,
-            );
-        }
+        apply_export(
+            &mut cluster.co,
+            &mut cluster.shared,
+            &mut cluster.data,
+            0,
+            Export {
+                unit: ExportUnit::Subtree(a),
+                to: 1,
+                load: 1.0,
+            },
+            SimTime::ZERO,
+        );
         assert!(!cluster.shared.frozen.is_empty());
         assert!(!cluster.shared.prefix_cold.is_empty());
         // Long after the lapse, readers already ignore the windows…
         assert!(frozen_until(&cluster.shared, a, SimTime::from_secs(100)).is_none());
         // …and the next barrier drops them wholesale.
-        {
-            let mut guards: Vec<MutexGuard<Shard>> =
-                cluster.shards.iter().map(|m| m.lock().unwrap()).collect();
-            barrier_apply(
-                &mut cluster.co,
-                &mut cluster.shared,
-                &mut guards,
-                &cluster.router,
-                SimTime::from_secs(100),
-            );
-        }
+        barrier_apply(
+            &mut cluster.co,
+            &mut cluster.shared,
+            &mut cluster.data,
+            SimTime::from_secs(100),
+        );
         assert!(
             cluster.shared.frozen.is_empty(),
             "lapsed freeze windows purged"

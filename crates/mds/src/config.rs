@@ -24,37 +24,17 @@ pub enum PlacementPolicy {
     HashDirs,
 }
 
-/// How the event loop executes a run.
+/// How the event loop executes a run. There is one mode: the windowed
+/// engine (conservative lookahead windows separated by deterministic
+/// barriers, see [`crate::dataplane`]) driven inline on the calling thread.
 ///
-/// Both modes drive the *same* windowed engine (conservative lookahead
-/// windows separated by deterministic barriers — see [`crate::shard`]);
-/// `Single` runs the one resulting shard inline on the calling thread,
-/// `Sharded` partitions MDSs and clients across `threads` worker threads.
-/// Window boundaries, event keys, and barrier application order are all
-/// shard-count-invariant, so a fixed seed produces a byte-identical
-/// [`crate::report::RunReport`] (and trace) in every mode — `Single` is
-/// the differential oracle for `Sharded { .. }`, exactly as the heap
-/// scheduler is for the timing wheel.
+/// Kept only because the repository benchmark (`perfbench/`) prints the
+/// resolved default as `exec_mode=Single`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// One shard, driven inline — no threads, no locks contended.
+    /// The one data plane, driven inline.
     #[default]
     Single,
-    /// Thread-per-shard execution with deterministic tick barriers.
-    Sharded {
-        /// Number of worker threads (shards). Clamped to ≥ 1.
-        threads: usize,
-    },
-}
-
-impl ExecMode {
-    /// Number of shards this mode partitions the cluster into.
-    pub fn shards(self) -> usize {
-        match self {
-            ExecMode::Single => 1,
-            ExecMode::Sharded { threads } => threads.max(1),
-        }
-    }
 }
 
 /// Full configuration of one simulated cluster run.
@@ -99,13 +79,11 @@ pub struct ClusterConfig {
     /// testing — a fixed seed must produce an identical `RunReport` in
     /// either mode.
     pub index_mode: IndexMode,
-    /// Event-queue backend: the binary heap (default, the differential
-    /// oracle) or the hierarchical timing wheel for scale-mode runs. A
-    /// fixed seed must produce an identical `RunReport` on either.
+    /// Event-queue backend. Has one value; kept only because the
+    /// repository benchmark (`perfbench/`) reads it.
     pub scheduler: SchedulerKind,
-    /// Execution mode: single-threaded (default, the differential oracle)
-    /// or thread-per-shard. A fixed seed must produce an identical
-    /// `RunReport` in either mode, at any thread count.
+    /// Execution mode. Has one value; kept only because the repository
+    /// benchmark (`perfbench/`) reads it.
     pub exec_mode: ExecMode,
     /// The proxy-tier read cache in front of the cluster
     /// ([`crate::cache`]). **Inert by default** — with
@@ -168,29 +146,6 @@ impl ClusterConfig {
     /// Convenience: pick the namespace index machinery.
     pub fn with_index_mode(mut self, mode: IndexMode) -> Self {
         self.index_mode = mode;
-        self
-    }
-
-    /// Convenience: pick the event-queue backend.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Convenience: pick the execution mode.
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
-        self
-    }
-
-    /// Convenience: run sharded across `threads` worker threads
-    /// (`threads <= 1` selects the inline single-threaded driver).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.exec_mode = if threads <= 1 {
-            ExecMode::Single
-        } else {
-            ExecMode::Sharded { threads }
-        };
         self
     }
 
@@ -265,8 +220,8 @@ pub enum JoinPolicy {
 
 /// Configuration of elastic cluster membership ([`crate::cluster`]).
 ///
-/// `num_mds` stays the fixed *pool* size — every per-MDS array, shard
-/// partition, and cache group keeps its shape — while membership becomes a
+/// `num_mds` stays the fixed *pool* size — every per-MDS array and cache
+/// group keeps its shape — while membership becomes a
 /// versioned subset of the pool. The `howmany` policy hook picks a target
 /// member count each heartbeat; the coordinator then performs at most one
 /// join (re-home subtrees onto the lowest-id spare via the migration

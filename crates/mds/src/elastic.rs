@@ -12,7 +12,7 @@
 //! remaining members), keeping placement stable across a leave/join cycle.
 //!
 //! Everything here is pure integer hashing — no RNG streams, no floats —
-//! so `Single` and `Sharded{..}` runs agree byte-for-byte by construction.
+//! so placement is a deterministic function of the member set.
 
 use mantle_namespace::{MdsId, NodeId};
 

@@ -28,6 +28,7 @@ pub mod cache;
 pub mod client;
 pub mod cluster;
 pub mod config;
+pub mod dataplane;
 pub mod elastic;
 pub mod faults;
 pub mod invariants;
@@ -36,7 +37,6 @@ pub mod partition;
 pub mod report;
 pub mod selector;
 pub mod service;
-pub mod shard;
 pub mod trace;
 
 pub use balancer::{BalanceContext, Balancer, CephfsBalancer, MantleBalancer, MigrationPlan};
@@ -46,6 +46,7 @@ pub use cluster::Cluster;
 pub use config::{
     CacheConfig, ClusterConfig, CostModel, ElasticConfig, ExecMode, JoinPolicy, PlacementPolicy,
 };
+pub use dataplane::{ExecStats, ShardStats};
 pub use elastic::rendezvous_owner;
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use invariants::{assert_invariants, check_trace, Violation};
@@ -54,5 +55,4 @@ pub use mantle_sim::SchedulerKind;
 pub use report::RunReport;
 pub use selector::{select_best, DirfragSelector};
 pub use service::{LiveCompletion, LiveService, ServiceEvent, ServiceHandle, ServiceSender};
-pub use shard::{ExecStats, ShardStats};
 pub use trace::{Timeline, TraceBuffer, TraceEvent, TraceLevel, TraceRecord};

@@ -120,8 +120,8 @@ impl Inbox {
     }
 }
 
-/// Per-client live op queues, shared by every shard's [`LiveWorkload`]
-/// fork and the service pump (which pushes resolved ops).
+/// Per-client live op queues, shared by the [`LiveWorkload`] and the
+/// service pump (which pushes resolved ops).
 pub(crate) struct LiveQueues {
     pub(crate) queues: Vec<Mutex<VecDeque<ClientOp>>>,
     pub(crate) closed: AtomicBool,

@@ -26,27 +26,22 @@ use crate::bytecode::{BytecodeProgram, BytecodeVm};
 use crate::error::{PolicyError, PolicyResult};
 use crate::interp::{Interpreter, StepBudget};
 use crate::parser::{parse_expression_script, parse_script, parse_when};
-use crate::slots::{ScalarMdsload, ScalarMetaload, SlotProgram, SlotVm};
+use crate::slots::{ScalarMdsload, ScalarMetaload, SlotProgram};
 use crate::stdlib;
 use crate::value::{Key, Table, Value};
 
 /// Which evaluation engine executes the policy hooks.
 ///
-/// All three are bit-identical — same results (`f64::to_bits`-equal), same
+/// The two are bit-identical — same results (`f64::to_bits`-equal), same
 /// step accounting, same errors on the same lines — pinned by the
-/// differential suites in `crates/policy` and `tests/`. The slower two are
-/// kept as selectable oracles (like `SchedulerKind::Heap` against the
-/// timing wheel), so equivalence stays a runtime-checkable property rather
-/// than an assumption.
+/// differential suites in `crates/policy` and `tests/`. The tree
+/// interpreter is kept as the selectable oracle, so equivalence stays a
+/// runtime-checkable property rather than an assumption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HookEngine {
     /// The original tree-walking interpreter: rebuilds the environment by
-    /// name for every invocation. Slowest; first oracle.
+    /// name for every invocation. Slow; the reference semantics.
     Tree,
-    /// The slot-compiled AST evaluator ([`SlotVm`]): resolved integer
-    /// slots, reusable frames, but still recursive per AST node. Second
-    /// oracle.
-    Slot,
     /// The flat register bytecode dispatch loop
     /// ([`BytecodeVm`]) — the default engine.
     #[default]
@@ -329,37 +324,18 @@ struct EnvSlots {
     max_mds: Option<usize>,
 }
 
-/// One policy hook, slot-compiled at [`MantleRuntime`] construction and
-/// reused for every invocation: resetting the environment between runs is a
-/// `clone_from_slice` over the global frame plus a handful of slot writes —
-/// no interpreter construction, no name hashing, no `String` allocation.
+/// One policy hook, compiled to bytecode at [`MantleRuntime`] construction
+/// and reused for every invocation: resetting the environment between runs
+/// is a `clone_from_slice` over the global frame plus a handful of slot
+/// writes — no interpreter construction, no name hashing, no `String`
+/// allocation.
 struct CompiledHook {
-    prog: SlotProgram,
     bc: BytecodeProgram,
     /// Base global frame: host functions (stdlib, `WRstate`/`RDstate`) at
     /// their slots, `Nil` everywhere else.
     base: Vec<Value>,
     env: EnvSlots,
-    vm: RefCell<SlotVm>,
-    bvm: RefCell<BytecodeVm>,
-}
-
-/// The slot-write surface shared by the two compiled VMs (they use the same
-/// slot numbering), so hook setup closures are engine-agnostic.
-trait EnvSink {
-    fn write_global(&mut self, slot: usize, value: Value);
-}
-
-impl EnvSink for SlotVm {
-    fn write_global(&mut self, slot: usize, value: Value) {
-        self.set_global(slot, value);
-    }
-}
-
-impl EnvSink for BytecodeVm {
-    fn write_global(&mut self, slot: usize, value: Value) {
-        self.set_global(slot, value);
-    }
+    vm: RefCell<BytecodeVm>,
 }
 
 impl CompiledHook {
@@ -389,47 +365,25 @@ impl CompiledHook {
             min_mds: slot("min_mds"),
             max_mds: slot("max_mds"),
         };
-        let vm = RefCell::new(SlotVm::new(&prog, budget));
-        let bvm = RefCell::new(BytecodeVm::new(&bc, budget));
-        CompiledHook {
-            prog,
-            bc,
-            base,
-            env,
-            vm,
-            bvm,
-        }
+        let vm = RefCell::new(BytecodeVm::new(&bc, budget));
+        CompiledHook { bc, base, env, vm }
     }
 
-    /// Reset the environment to the base image, apply `setup`, execute on
-    /// the selected engine ([`HookEngine::Tree`] never reaches here — the
-    /// runtime handles it before compiled hooks come into play).
-    fn run(
-        &self,
-        engine: HookEngine,
-        setup: impl FnOnce(&EnvSlots, &mut dyn EnvSink),
-    ) -> PolicyResult<Value> {
-        match engine {
-            HookEngine::Slot => {
-                let mut vm = self.vm.borrow_mut();
-                vm.reset_globals(&self.base);
-                setup(&self.env, &mut *vm);
-                vm.run(&self.prog)
-            }
-            _ => {
-                let mut vm = self.bvm.borrow_mut();
-                vm.reset_globals(&self.base);
-                setup(&self.env, &mut *vm);
-                vm.run(&self.bc)
-            }
-        }
+    /// Reset the environment to the base image, apply `setup`, execute.
+    /// ([`HookEngine::Tree`] never reaches here — the runtime handles it
+    /// before compiled hooks come into play.)
+    fn run(&self, setup: impl FnOnce(&EnvSlots, &mut BytecodeVm)) -> PolicyResult<Value> {
+        let mut vm = self.vm.borrow_mut();
+        vm.reset_globals(&self.base);
+        setup(&self.env, &mut vm);
+        vm.run(&self.bc)
     }
 }
 
 /// Write a value to an environment slot the hook actually references.
-fn set_slot(vm: &mut dyn EnvSink, slot: Option<usize>, value: Value) {
+fn set_slot(vm: &mut BytecodeVm, slot: Option<usize>, value: Value) {
     if let Some(s) = slot {
-        vm.write_global(s, value);
+        vm.set_global(s, value);
     }
 }
 
@@ -453,14 +407,14 @@ struct CompiledHooks {
 /// the MDS (which collects metrics and performs migrations) and the policy
 /// scripts (which decide).
 ///
-/// Hooks are compiled to slot programs and then lowered to bytecode once,
+/// Hooks are resolved to slot programs and then lowered to bytecode once,
 /// at construction (see [`crate::slots`] and [`crate::bytecode`]); each
-/// invocation reuses the compiled program and its VM on the engine selected
-/// by [`Self::with_engine`] (bytecode by default). A `metaload` hook that
+/// invocation reuses the compiled program and its VM unless
+/// [`Self::with_engine`] selects the tree interpreter. A `metaload` hook that
 /// is a linear combination of the five counters additionally compiles to a
 /// [`ScalarMetaload`] evaluated without touching any VM.
 /// [`Self::with_force_slow_path`] selects the original tree-walking
-/// interpreter and disables both fast paths — all engines are bit-identical
+/// interpreter and disables both fast paths — the engines are bit-identical
 /// (the differential tests pin this), so the switches exist for benchmarks
 /// and differential testing only.
 pub struct MantleRuntime {
@@ -475,9 +429,9 @@ pub struct MantleRuntime {
     metaload_scalar: Option<ScalarMetaload>,
     mdsload_scalar: Option<ScalarMdsload>,
     /// Reusable `decide` environment (tables + interned keys), built lazily
-    /// on first use. Only the default bytecode engine touches it; the
-    /// oracle engines rebuild their environment from scratch every call so
-    /// they keep measuring the unoptimized path.
+    /// on first use. Only the default bytecode engine touches it; the tree
+    /// oracle rebuilds its environment from scratch every call so it keeps
+    /// measuring the unoptimized path.
     decide_env: RefCell<Option<DecideEnv>>,
     engine: HookEngine,
 }
@@ -525,7 +479,7 @@ impl MdsKeys {
 /// clear-and-refill therefore makes the reused tables indistinguishable
 /// (content *and* error behaviour) from freshly allocated ones. The
 /// report-level differential suite (`tests/bytecode_equivalence.rs`) pins
-/// this against both oracle engines.
+/// this against the tree oracle.
 struct DecideEnv {
     mdss: Rc<RefCell<Table>>,
     /// Row tables, kept alongside `mdss` so refilling them skips the outer
@@ -731,7 +685,7 @@ impl MantleRuntime {
     /// The scalar-compiled `mdsload`, when the hook is a single linear
     /// combination of the current row's metric fields (true for Table 1
     /// and every shipped policy). Consumed by the bytecode engine's
-    /// `decide` fast path; the oracle engines ignore it.
+    /// `decide` fast path; the tree oracle ignores it.
     pub fn mdsload_scalar(&self) -> Option<&ScalarMdsload> {
         self.mdsload_scalar.as_ref()
     }
@@ -800,7 +754,7 @@ impl MantleRuntime {
         self.whoami_cell.set(whoami);
         self.hooks
             .metaload
-            .run(self.engine, |env, vm| {
+            .run(|env, vm| {
                 set_slot(vm, env.ird, Value::Number(frag.ird));
                 set_slot(vm, env.iwr, Value::Number(frag.iwr));
                 set_slot(vm, env.readdir, Value::Number(frag.readdir));
@@ -842,27 +796,13 @@ impl MantleRuntime {
         self.whoami_cell.set(inputs.whoami);
         let mut mds_loads = Vec::with_capacity(n);
         for i in 0..n {
-            let load = if self.engine == HookEngine::Tree {
-                let mut interp = self.base_interp(inputs.whoami);
-                interp.set_global("whoami", Value::Number(inputs.whoami as f64 + 1.0));
-                interp.set_global("i", Value::Number(i as f64 + 1.0));
-                interp.set_global("MDSs", Value::Table(Rc::clone(&mdss_table)));
-                interp.set_global("authmetaload", Value::Number(inputs.auth_metaload));
-                interp.set_global("allmetaload", Value::Number(inputs.all_metaload));
-                interp.run(&self.policy.mdsload)?.as_number(0)?
-            } else {
-                self.hooks
-                    .mdsload
-                    .run(self.engine, |env, vm| {
-                        set_slot(vm, env.whoami, Value::Number(inputs.whoami as f64 + 1.0));
-                        set_slot(vm, env.i, Value::Number(i as f64 + 1.0));
-                        set_slot(vm, env.mdss, Value::Table(Rc::clone(&mdss_table)));
-                        set_slot(vm, env.authmetaload, Value::Number(inputs.auth_metaload));
-                        set_slot(vm, env.allmetaload, Value::Number(inputs.all_metaload));
-                    })?
-                    .as_number(0)?
-            };
-            mds_loads.push(load);
+            let mut interp = self.base_interp(inputs.whoami);
+            interp.set_global("whoami", Value::Number(inputs.whoami as f64 + 1.0));
+            interp.set_global("i", Value::Number(i as f64 + 1.0));
+            interp.set_global("MDSs", Value::Table(Rc::clone(&mdss_table)));
+            interp.set_global("authmetaload", Value::Number(inputs.auth_metaload));
+            interp.set_global("allmetaload", Value::Number(inputs.all_metaload));
+            mds_loads.push(interp.run(&self.policy.mdsload)?.as_number(0)?);
         }
         let total: f64 = mds_loads.iter().sum();
         for (i, load) in mds_loads.iter().enumerate() {
@@ -881,14 +821,6 @@ impl MantleRuntime {
             interp.set_global("allmetaload", Value::Number(inputs.all_metaload));
             interp.set_global("targets", Value::Table(Rc::clone(&targets_table)));
         };
-        let slot_setup = |env: &EnvSlots, vm: &mut dyn EnvSink| {
-            set_slot(vm, env.whoami, Value::Number(inputs.whoami as f64 + 1.0));
-            set_slot(vm, env.mdss, Value::Table(Rc::clone(&mdss_table)));
-            set_slot(vm, env.total, Value::Number(total));
-            set_slot(vm, env.authmetaload, Value::Number(inputs.auth_metaload));
-            set_slot(vm, env.allmetaload, Value::Number(inputs.all_metaload));
-            set_slot(vm, env.targets, Value::Table(Rc::clone(&targets_table)));
-        };
         // The listings signal "migrate" by filling targets.
         let targets_filled = |targets_table: &Rc<RefCell<Table>>| {
             (1..=n as i64).any(|i| {
@@ -901,39 +833,23 @@ impl MantleRuntime {
             })
         };
 
-        let migrate = if self.engine == HookEngine::Tree {
-            match &self.policy.decision {
-                Decision::Hooks { when, where_ } => {
+        let migrate = match &self.policy.decision {
+            Decision::Hooks { when, where_ } => {
+                let mut interp = self.base_interp(inputs.whoami);
+                setup(&mut interp);
+                let fired = interp.run(when)?.truthy();
+                if fired {
                     let mut interp = self.base_interp(inputs.whoami);
                     setup(&mut interp);
-                    let fired = interp.run(when)?.truthy();
-                    if fired {
-                        let mut interp = self.base_interp(inputs.whoami);
-                        setup(&mut interp);
-                        interp.run(where_)?;
-                    }
-                    fired
+                    interp.run(where_)?;
                 }
-                Decision::Combined(script) => {
-                    let mut interp = self.base_interp(inputs.whoami);
-                    setup(&mut interp);
-                    interp.run(script)?;
-                    targets_filled(&targets_table)
-                }
+                fired
             }
-        } else {
-            match &self.hooks.decision {
-                CompiledDecision::Hooks { when, where_ } => {
-                    let fired = when.run(self.engine, slot_setup)?.truthy();
-                    if fired {
-                        where_.run(self.engine, slot_setup)?;
-                    }
-                    fired
-                }
-                CompiledDecision::Combined(hook) => {
-                    hook.run(self.engine, slot_setup)?;
-                    targets_filled(&targets_table)
-                }
+            Decision::Combined(script) => {
+                let mut interp = self.base_interp(inputs.whoami);
+                setup(&mut interp);
+                interp.run(script)?;
+                targets_filled(&targets_table)
             }
         };
 
@@ -965,8 +881,8 @@ impl MantleRuntime {
     /// does for scalar `metaload` hooks.
     ///
     /// Structure deliberately mirrors the oracle path statement for
-    /// statement; any divergence is caught by the three-way differential
-    /// suites at hook and report level.
+    /// statement; any divergence is caught by the tree-vs-bytecode
+    /// differential suites at hook and report level.
     fn decide_bytecode(&self, inputs: &BalancerInputs) -> PolicyResult<BalancerOutcome> {
         let n = inputs.mds.len();
         let mut cached = self.decide_env.borrow_mut();
@@ -1005,7 +921,7 @@ impl MantleRuntime {
             let load = self
                 .hooks
                 .mdsload
-                .run(HookEngine::Bytecode, |env, vm| {
+                .run(|env, vm| {
                     set_slot(vm, env.whoami, Value::Number(inputs.whoami as f64 + 1.0));
                     set_slot(vm, env.i, Value::Number(i as f64 + 1.0));
                     set_slot(vm, env.mdss, Value::Table(Rc::clone(&mdss_table)));
@@ -1039,7 +955,7 @@ impl MantleRuntime {
     ) -> PolicyResult<BalancerOutcome> {
         let n = inputs.mds.len();
 
-        let slot_setup = |env: &EnvSlots, vm: &mut dyn EnvSink| {
+        let slot_setup = |env: &EnvSlots, vm: &mut BytecodeVm| {
             set_slot(vm, env.whoami, Value::Number(inputs.whoami as f64 + 1.0));
             set_slot(vm, env.mdss, Value::Table(Rc::clone(&mdss_table)));
             set_slot(vm, env.total, Value::Number(total));
@@ -1055,14 +971,14 @@ impl MantleRuntime {
         // oracle path performs is skipped.
         let fired = match &self.hooks.decision {
             CompiledDecision::Hooks { when, where_ } => {
-                let fired = when.run(HookEngine::Bytecode, slot_setup)?.truthy();
+                let fired = when.run(slot_setup)?.truthy();
                 if fired {
-                    where_.run(HookEngine::Bytecode, slot_setup)?;
+                    where_.run(slot_setup)?;
                 }
                 Some(fired)
             }
             CompiledDecision::Combined(hook) => {
-                hook.run(HookEngine::Bytecode, slot_setup)?;
+                hook.run(slot_setup)?;
                 None
             }
         };
@@ -1102,7 +1018,7 @@ impl MantleRuntime {
     ///
     /// Runs once per balancer tick on the coordinator, so the environment
     /// is built fresh on every engine — there is no hot path to protect.
-    /// All three engines are bit-identical here exactly as for `decide`.
+    /// Both engines are bit-identical here exactly as for `decide`.
     pub fn eval_howmany(
         &self,
         inputs: &BalancerInputs,
@@ -1160,10 +1076,10 @@ impl MantleRuntime {
                         m.cache_misses,
                     ])
                 }
-                engine => self
+                HookEngine::Bytecode => self
                     .hooks
                     .mdsload
-                    .run(engine, |env, vm| {
+                    .run(|env, vm| {
                         set_slot(vm, env.whoami, Value::Number(inputs.whoami as f64 + 1.0));
                         set_slot(vm, env.i, Value::Number(i as f64 + 1.0));
                         set_slot(vm, env.mdss, Value::Table(Rc::clone(&mdss_table)));
@@ -1198,7 +1114,7 @@ impl MantleRuntime {
                 .howmany
                 .as_ref()
                 .expect("compiled alongside policy.howmany")
-                .run(self.engine, |env, vm| {
+                .run(|env, vm| {
                     set_slot(vm, env.whoami, Value::Number(inputs.whoami as f64 + 1.0));
                     set_slot(vm, env.mdss, Value::Table(Rc::clone(&mdss_table)));
                     set_slot(vm, env.total, Value::Number(total));
@@ -1557,7 +1473,7 @@ end
     }
 
     #[test]
-    fn all_three_engines_agree_on_decide() {
+    fn both_engines_agree_on_decide() {
         let inputs = BalancerInputs {
             whoami: 0,
             mds: metrics(&[90.0, 5.0, 35.0]),
@@ -1571,7 +1487,7 @@ end
             fetch: 9e3,
             store: 0.001,
         };
-        let engines = [HookEngine::Tree, HookEngine::Slot, HookEngine::Bytecode];
+        let engines = [HookEngine::Tree, HookEngine::Bytecode];
         let runs: Vec<_> = engines
             .iter()
             .map(|&e| {
@@ -1597,7 +1513,7 @@ end
         // The bytecode engine reuses its decide tables; a decision script
         // that scribbles junk keys into MDSs rows, the outer table, and
         // targets must not be able to observe (or leak) anything across
-        // calls. Every repeat call must match the slot oracle bit for bit.
+        // calls. Every repeat call must match the tree oracle bit for bit.
         let p = PolicySet::from_combined(
             "IWR + IRD",
             "MDSs[i][\"all\"]",
@@ -1615,7 +1531,7 @@ MDSs[1]["polluted"] = 1
         .unwrap();
         let fast = MantleRuntime::new(p.clone());
         assert_eq!(fast.engine(), HookEngine::Bytecode);
-        let oracle = MantleRuntime::new(p).with_engine(HookEngine::Slot);
+        let oracle = MantleRuntime::new(p).with_engine(HookEngine::Tree);
         let inputs = |hot: f64| BalancerInputs {
             whoami: 0,
             mds: metrics(&[hot, 5.0, 35.0]),
@@ -1659,7 +1575,7 @@ MDSs[1]["polluted"] = 1
             auth_metaload: 90.0,
             all_metaload: 95.0,
         };
-        let runs: Vec<_> = [HookEngine::Tree, HookEngine::Slot, HookEngine::Bytecode]
+        let runs: Vec<_> = [HookEngine::Tree, HookEngine::Bytecode]
             .iter()
             .map(|&e| {
                 MantleRuntime::new(p.clone())
@@ -1680,7 +1596,7 @@ MDSs[1]["polluted"] = 1
     fn cache_fields_reach_scripts_on_every_engine() {
         // A cache-aware mdsload: absorbed hits are nearly free, misses
         // carry full service cost. Linear, so bytecode takes the scalar
-        // path; Tree and Slot read the same values out of the MDSs table.
+        // path; Tree reads the same values out of the MDSs table.
         let p = PolicySet::from_hooks(
             "IWR",
             "MDSs[i][\"all\"] + 0.1*MDSs[i][\"cache_hits\"] + MDSs[i][\"cache_misses\"]",
@@ -1701,7 +1617,7 @@ MDSs[1]["polluted"] = 1
             auth_metaload: 80.0,
             all_metaload: 80.0,
         };
-        let runs: Vec<_> = [HookEngine::Tree, HookEngine::Slot, HookEngine::Bytecode]
+        let runs: Vec<_> = [HookEngine::Tree, HookEngine::Bytecode]
             .iter()
             .map(|&e| {
                 MantleRuntime::new(p.clone())
@@ -1738,7 +1654,7 @@ MDSs[1]["polluted"] = 1
             &["half"],
         )
         .unwrap();
-        for e in [HookEngine::Tree, HookEngine::Slot, HookEngine::Bytecode] {
+        for e in [HookEngine::Tree, HookEngine::Bytecode] {
             let rt = MantleRuntime::new(p.clone()).with_engine(e);
             let err = rt.eval_metaload(0, &FragMetrics::default()).unwrap_err();
             assert!(err.to_string().contains("NaN argument"), "{e:?}: {err}");
@@ -1758,7 +1674,7 @@ MDSs[1]["polluted"] = 1
     }
 
     #[test]
-    fn howmany_agrees_across_all_three_engines() {
+    fn howmany_agrees_across_both_engines() {
         // A hook using the full environment: scale so per-member load sits
         // near 25, clamped by the runtime's callers.
         let p = cephfs_policy()
@@ -1770,7 +1686,7 @@ MDSs[1]["polluted"] = 1
             auth_metaload: 90.0,
             all_metaload: 95.0,
         };
-        let runs: Vec<f64> = [HookEngine::Tree, HookEngine::Slot, HookEngine::Bytecode]
+        let runs: Vec<f64> = [HookEngine::Tree, HookEngine::Bytecode]
             .iter()
             .map(|&e| {
                 MantleRuntime::new(p.clone())
@@ -1797,7 +1713,7 @@ MDSs[1]["polluted"] = 1
         let p = cephfs_policy()
             .with_howmany("active + min_mds + max_mds")
             .unwrap();
-        for e in [HookEngine::Tree, HookEngine::Slot, HookEngine::Bytecode] {
+        for e in [HookEngine::Tree, HookEngine::Bytecode] {
             let rt = MantleRuntime::new(p.clone()).with_engine(e);
             let inputs = BalancerInputs {
                 whoami: 0,
@@ -1828,7 +1744,7 @@ return active
             mds: metrics(&[90.0, 60.0]),
             ..Default::default()
         };
-        for e in [HookEngine::Tree, HookEngine::Slot, HookEngine::Bytecode] {
+        for e in [HookEngine::Tree, HookEngine::Bytecode] {
             let rt = MantleRuntime::new(p.clone()).with_engine(e);
             assert_eq!(rt.eval_howmany(&inputs, 2, 1, 4).unwrap(), Some(2.0));
             assert_eq!(rt.eval_howmany(&inputs, 2, 1, 4).unwrap(), Some(3.0));

@@ -64,14 +64,47 @@ fn strip_comments(src: &str) -> String {
         .join("\n")
 }
 
+/// Deepest nesting the parser accepts: blocks inside blocks, operators
+/// applied to operators, parenthesized or indexed subexpressions, and
+/// left-associative operator chains all count one level each. Scripts
+/// come from operators over the wire, and the parser, the resolver and
+/// the tree interpreter all recurse once per level, so an unbounded depth
+/// would let one policy overflow the stack. Lua's own limit on nested C
+/// calls is the same 200.
+const MAX_DEPTH: u32 = 200;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting depth, bounded by [`MAX_DEPTH`].
+    depth: u32,
 }
 
 impl Parser {
     fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Descend one nesting level, failing past [`MAX_DEPTH`]. Pair every
+    /// successful call with [`Self::leave`]; a failed parse abandons the
+    /// parser, so error paths need not unwind the count.
+    fn enter(&mut self) -> PolicyResult<()> {
+        if self.depth == MAX_DEPTH {
+            return Err(PolicyError::Parse {
+                line: self.line(),
+                message: format!("nesting deeper than {MAX_DEPTH} levels"),
+            });
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    fn leave(&mut self, levels: u32) {
+        self.depth -= levels;
     }
 
     fn peek(&self) -> &Token {
@@ -126,6 +159,7 @@ impl Parser {
     }
 
     fn block(&mut self) -> PolicyResult<Block> {
+        self.enter()?;
         let mut stmts = Vec::new();
         while !self.block_ends() {
             // `return` must be the last statement of a block in Lua.
@@ -136,6 +170,7 @@ impl Parser {
                 break;
             }
         }
+        self.leave(1);
         Ok(Block { stmts })
     }
 
@@ -328,6 +363,8 @@ impl Parser {
 
     fn binary_expr(&mut self, min_prec: u8) -> PolicyResult<Expr> {
         let mut lhs = self.unary_expr()?;
+        // Each operator folded in below nests `lhs` one level deeper.
+        let mut levels = 0;
         loop {
             let (op, lprec, rprec) = match self.peek().kind {
                 TokenKind::Or => (BinOp::Or, 1, 2),
@@ -352,6 +389,8 @@ impl Parser {
             }
             let line = self.line();
             self.advance();
+            self.enter()?;
+            levels += 1;
             let rhs = self.binary_expr(rprec)?;
             lhs = Expr::Binary {
                 op,
@@ -360,10 +399,15 @@ impl Parser {
                 line,
             };
         }
+        self.leave(levels);
         Ok(lhs)
     }
 
+    /// Every nested subexpression passes through here (operands,
+    /// parentheses, index keys, call arguments, table fields), so this is
+    /// where expression depth is counted.
     fn unary_expr(&mut self) -> PolicyResult<Expr> {
+        self.enter()?;
         let line = self.line();
         let op = match self.peek().kind {
             TokenKind::Not => Some(UnOp::Not),
@@ -371,17 +415,20 @@ impl Parser {
             TokenKind::Hash => Some(UnOp::Len),
             _ => None,
         };
-        if let Some(op) = op {
+        let expr = if let Some(op) = op {
             self.advance();
             // Unary binds tighter than binary ops except `^`.
             let operand = self.unary_expr()?;
-            return Ok(Expr::Unary {
+            Expr::Unary {
                 op,
                 operand: Box::new(operand),
                 line,
-            });
-        }
-        self.pow_expr()
+            }
+        } else {
+            self.pow_expr()?
+        };
+        self.leave(1);
+        Ok(expr)
     }
 
     fn pow_expr(&mut self) -> PolicyResult<Expr> {
@@ -800,6 +847,56 @@ end
             panic!()
         };
         assert!(matches!(value, Expr::Index { .. }));
+    }
+
+    /// The deepest (or longest-chained) source at `depth`, in each shape
+    /// the depth bound covers.
+    fn nested(depth: usize) -> [String; 5] {
+        [
+            format!("return {}1{}", "(".repeat(depth), ")".repeat(depth)),
+            format!("return {}1", "- ".repeat(depth)),
+            format!("return 1{}", " + 1".repeat(depth)),
+            format!("return {}t{}", "t[".repeat(depth), "]".repeat(depth)),
+            format!("{}x = 1{}", "do ".repeat(depth), " end".repeat(depth)),
+        ]
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        for src in nested(20_000) {
+            let err = parse_script(&src).unwrap_err();
+            assert!(
+                matches!(&err, PolicyError::Parse { message, .. } if message.contains("nesting")),
+                "{}…: {err}",
+                &src[..40]
+            );
+            assert!(parse_expression_script(&src).is_err());
+        }
+    }
+
+    #[test]
+    fn nesting_just_inside_the_bound_runs_on_a_default_thread_stack() {
+        // Everything downstream of the parser recurses once per level too;
+        // at the bound it must all fit a spawned thread's default stack,
+        // in every build profile.
+        std::thread::spawn(|| {
+            for src in nested(MAX_DEPTH as usize - 3) {
+                let script = parse_script(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
+                let mut interp = crate::Interpreter::new();
+                interp.set_global("t", crate::Value::table(crate::Table::new()));
+                let tree = interp.run(&script);
+                let prog = crate::SlotProgram::compile(&script);
+                let bc = crate::BytecodeProgram::compile(&prog);
+                let mut vm = crate::BytecodeVm::new(&bc, crate::StepBudget::default());
+                if let Some(slot) = prog.global_slot("t") {
+                    vm.set_global(slot, crate::Value::table(crate::Table::new()));
+                }
+                assert_eq!(tree.is_ok(), vm.run(&bc).is_ok(), "{src}");
+                let _ = crate::script_to_source(&script);
+            }
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Slot-compiled policy hooks: a resolve pass + flat-frame evaluator.
+//! Slot-resolved policy hooks: the resolve pass bytecode lowers from, plus
+//! the scalar fast paths.
 //!
-//! The tree-walking [`Interpreter`] resolves
+//! The tree-walking [`Interpreter`](crate::Interpreter) resolves
 //! every variable read and write by hashing its name against a stack of
 //! `HashMap<String, Value>` scopes. For the `metaload` hook — which runs
 //! once per dirfrag per balancer tick — that hash traffic (plus building a
 //! fresh interpreter and re-`set_global`ing the environment per call)
 //! dominates the tick cost.
 //!
-//! This module adds a second stage to the pipeline: after parsing, a
+//! This module holds the second stage of the pipeline: after parsing, a
 //! **resolve pass** ([`SlotProgram::compile`]) walks the AST once, mapping
 //! every name to an integer slot:
 //!
@@ -23,15 +24,9 @@
 //! is whatever the enclosing scope says — exactly what the dynamic scope
 //! stack would have found.
 //!
-//! The evaluator ([`SlotVm`]) then executes the slotted AST against two
-//! `Vec<Value>` frames with plain indexing. It is written to be
-//! **bit-identical** to the tree-walking interpreter: the same evaluation
-//! order, the same IEEE-754 operation order, the same error messages, and
-//! the same step accounting (a step is charged exactly where
-//! `Interpreter::step` would charge one, so even
-//! [`BudgetExhausted`](crate::error::PolicyError::BudgetExhausted) errors
-//! fire on the same script step). Differential tests below and in
-//! `tests/properties.rs` pin this.
+//! The slotted AST is not executed directly: [`crate::bytecode`] lowers it
+//! to a flat instruction stream, and [`crate::bytecode::BytecodeVm`] runs
+//! that against two `Vec<Value>` frames with plain indexing.
 //!
 //! Finally, [`ScalarMetaload`] covers the common case from the paper's
 //! Table 1 and every shipped policy: a `metaload` hook that is a linear
@@ -45,9 +40,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::ast::{BinOp, Block, Expr, LValue, Script, Stmt, UnOp};
-use crate::error::{PolicyError, PolicyResult};
-use crate::interp::{compare, concat_operand, Interpreter, StepBudget};
-use crate::value::{Key, Table, Value};
+use crate::value::{Key, Value};
 
 // ---------------------------------------------------------------------------
 // Slotted AST
@@ -167,23 +160,24 @@ pub(crate) enum SKey {
 
 /// A script compiled to slot form: the product of the resolve pass.
 ///
-/// Compile once, then run any number of times through a [`SlotVm`],
-/// writing the environment into integer slots instead of re-binding
-/// names:
+/// Compile once, lower to bytecode, then run any number of times through a
+/// [`BytecodeVm`](crate::BytecodeVm), writing the environment into integer
+/// slots instead of re-binding names:
 ///
 /// ```
-/// use mantle_policy::{compile, SlotProgram, SlotVm, StepBudget, Value};
+/// use mantle_policy::{compile, BytecodeProgram, BytecodeVm, SlotProgram, StepBudget, Value};
 ///
 /// let script = compile("score = 0 for i = 1, n do score = score + i end return score")?;
 /// let prog = SlotProgram::compile(&script);
 /// let n_slot = prog.global_slot("n").expect("script reads `n`");
+/// let bc = BytecodeProgram::compile(&prog);
 ///
-/// let mut vm = SlotVm::new(&prog, StepBudget::default());
+/// let mut vm = BytecodeVm::new(&bc, StepBudget::default());
 /// let base: Vec<Value> = prog.global_names().iter().map(|_| Value::Nil).collect();
 /// for (n, expected) in [(3.0, 6.0), (10.0, 55.0)] {
 ///     vm.reset_globals(&base);
 ///     vm.set_global(n_slot, Value::Number(n));
-///     assert_eq!(vm.run(&prog)?.as_number(0)?, expected);
+///     assert_eq!(vm.run(&bc)?.as_number(0)?, expected);
 /// }
 /// # Ok::<(), mantle_policy::PolicyError>(())
 /// ```
@@ -425,399 +419,6 @@ impl Resolver {
 }
 
 // ---------------------------------------------------------------------------
-// Evaluator
-// ---------------------------------------------------------------------------
-
-enum Flow {
-    Normal,
-    Break,
-    Return(Value),
-}
-
-/// Executes a [`SlotProgram`] against reusable flat frames.
-///
-/// One `SlotVm` is built per compiled hook and reused across runs: resetting
-/// the environment between runs is `clone_from_slice` over the global frame
-/// (reference-count bumps, no heap allocation) instead of re-building an
-/// interpreter and re-hashing every `set_global`.
-pub struct SlotVm {
-    globals: Vec<Value>,
-    locals: Vec<Value>,
-    steps: u64,
-    budget: StepBudget,
-    /// Handed to native functions, which take `&mut Interpreter` by
-    /// signature. Every in-tree native ignores it; it exists so host
-    /// functions keep one callable type across both evaluators.
-    scratch: Interpreter,
-}
-
-impl SlotVm {
-    /// A fresh VM sized for `prog`.
-    pub fn new(prog: &SlotProgram, budget: StepBudget) -> SlotVm {
-        SlotVm {
-            globals: vec![Value::Nil; prog.n_globals()],
-            locals: vec![Value::Nil; prog.n_locals()],
-            steps: 0,
-            budget,
-            scratch: Interpreter::new().with_budget(budget),
-        }
-    }
-
-    /// Overwrite the whole global frame from a base image. `base` must have
-    /// one entry per global slot of the program this VM was sized for.
-    pub fn reset_globals(&mut self, base: &[Value]) {
-        self.globals.clone_from_slice(base);
-    }
-
-    /// Write one global slot.
-    pub fn set_global(&mut self, slot: usize, value: Value) {
-        self.globals[slot] = value;
-    }
-
-    /// Read one global slot.
-    pub fn get_global(&self, slot: usize) -> &Value {
-        &self.globals[slot]
-    }
-
-    /// Steps consumed by the last run.
-    pub fn steps_used(&self) -> u64 {
-        self.steps
-    }
-
-    /// Execute a program; returns its `return` value (or `Nil`).
-    ///
-    /// Local slots need no reset between runs: every read of a local slot
-    /// is dominated by its declaration (statements run in source order and
-    /// the subset has no `goto`), and the declaration re-assigns the slot.
-    pub fn run(&mut self, prog: &SlotProgram) -> PolicyResult<Value> {
-        debug_assert_eq!(self.globals.len(), prog.n_globals());
-        debug_assert_eq!(self.locals.len(), prog.n_locals());
-        self.steps = 0;
-        let flow = self.exec_block(&prog.body)?;
-        Ok(match flow {
-            Flow::Return(v) => v,
-            _ => Value::Nil,
-        })
-    }
-
-    fn step(&mut self) -> PolicyResult<()> {
-        self.steps += 1;
-        if self.steps > self.budget.0 {
-            Err(PolicyError::BudgetExhausted {
-                budget: self.budget.0,
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    fn exec_block(&mut self, stmts: &[SStmt]) -> PolicyResult<Flow> {
-        for stmt in stmts {
-            match self.exec_stmt(stmt)? {
-                Flow::Normal => {}
-                other => return Ok(other),
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    fn exec_stmt(&mut self, stmt: &SStmt) -> PolicyResult<Flow> {
-        match stmt {
-            SStmt::Assign {
-                target,
-                value,
-                line,
-            } => {
-                self.step()?;
-                let v = self.eval(value)?;
-                self.assign(target, v, *line)?;
-                Ok(Flow::Normal)
-            }
-            SStmt::LocalDecl { slot, value } => {
-                self.step()?;
-                let v = match value {
-                    Some(e) => self.eval(e)?,
-                    None => Value::Nil,
-                };
-                self.locals[*slot as usize] = v;
-                Ok(Flow::Normal)
-            }
-            SStmt::If { arms, else_block } => {
-                self.step()?;
-                for (cond, body) in arms {
-                    if self.eval(cond)?.truthy() {
-                        return self.exec_block(body);
-                    }
-                }
-                if let Some(body) = else_block {
-                    return self.exec_block(body);
-                }
-                Ok(Flow::Normal)
-            }
-            SStmt::While { cond, body } => {
-                loop {
-                    self.step()?;
-                    if !self.eval(cond)?.truthy() {
-                        break;
-                    }
-                    match self.exec_block(body)? {
-                        Flow::Normal => {}
-                        Flow::Break => break,
-                        ret @ Flow::Return(_) => return Ok(ret),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            SStmt::NumericFor {
-                slot,
-                start,
-                stop,
-                step,
-                body,
-                line,
-            } => {
-                self.step()?;
-                let start = self.eval(start)?.as_number(*line)?;
-                let stop = self.eval(stop)?.as_number(*line)?;
-                let step_v = match step {
-                    Some(e) => self.eval(e)?.as_number(*line)?,
-                    None => 1.0,
-                };
-                if step_v == 0.0 {
-                    return Err(PolicyError::runtime(*line, "'for' step is zero"));
-                }
-                let mut i = start;
-                loop {
-                    self.step()?;
-                    let cont = if step_v > 0.0 { i <= stop } else { i >= stop };
-                    if !cont {
-                        break;
-                    }
-                    self.locals[*slot as usize] = Value::Number(i);
-                    match self.exec_block(body)? {
-                        Flow::Normal => {}
-                        Flow::Break => break,
-                        ret @ Flow::Return(_) => return Ok(ret),
-                    }
-                    i += step_v;
-                }
-                Ok(Flow::Normal)
-            }
-            SStmt::ExprStmt { expr } => {
-                self.step()?;
-                self.eval(expr)?;
-                Ok(Flow::Normal)
-            }
-            SStmt::Do { body } => self.exec_block(body),
-            SStmt::Return { value } => {
-                self.step()?;
-                let v = match value {
-                    Some(e) => self.eval(e)?,
-                    None => Value::Nil,
-                };
-                Ok(Flow::Return(v))
-            }
-            SStmt::Break => {
-                self.step()?;
-                Ok(Flow::Break)
-            }
-        }
-    }
-
-    fn assign(&mut self, target: &SLValue, value: Value, line: u32) -> PolicyResult<()> {
-        match target {
-            SLValue::Local(slot) => {
-                self.locals[*slot as usize] = value;
-                Ok(())
-            }
-            SLValue::Global(slot) => {
-                self.globals[*slot as usize] = value;
-                Ok(())
-            }
-            SLValue::Index { object, key } => {
-                let obj = self.eval(object)?;
-                let k = match key {
-                    SKey::Const { key, .. } => {
-                        // Step parity: the tree walker evaluates the
-                        // literal key expression here.
-                        self.step()?;
-                        key.clone()
-                    }
-                    SKey::Expr(e) => {
-                        let key_v = self.eval(e)?;
-                        match &obj {
-                            Value::Table(_) => Key::from_value(&key_v, line)?,
-                            _ => Key::Int(0), // unused: the error below wins
-                        }
-                    }
-                };
-                match obj {
-                    Value::Table(t) => {
-                        t.borrow_mut().set(k, value);
-                        Ok(())
-                    }
-                    other => Err(PolicyError::runtime(
-                        line,
-                        format!("cannot index a {} value", other.type_name()),
-                    )),
-                }
-            }
-        }
-    }
-
-    fn eval(&mut self, expr: &SExpr) -> PolicyResult<Value> {
-        self.step()?;
-        match expr {
-            SExpr::Nil => Ok(Value::Nil),
-            SExpr::Bool(b) => Ok(Value::Bool(*b)),
-            SExpr::Number(n) => Ok(Value::Number(*n)),
-            SExpr::Str(v) => Ok(v.clone()),
-            SExpr::Local { slot } => Ok(self.locals[*slot as usize].clone()),
-            SExpr::Global { slot } => Ok(self.globals[*slot as usize].clone()),
-            SExpr::Index { object, key, line } => {
-                let obj = self.eval(object)?;
-                match key {
-                    SKey::Const { key, text } => {
-                        // Step parity with evaluating the literal key.
-                        self.step()?;
-                        match obj {
-                            Value::Table(t) => Ok(t.borrow().get(key)),
-                            Value::Nil => Err(PolicyError::runtime(
-                                *line,
-                                format!("attempt to index a nil value (key '{text}')"),
-                            )),
-                            other => Err(PolicyError::runtime(
-                                *line,
-                                format!("cannot index a {} value", other.type_name()),
-                            )),
-                        }
-                    }
-                    SKey::Expr(e) => {
-                        let key_v = self.eval(e)?;
-                        match obj {
-                            Value::Table(t) => {
-                                let k = Key::from_value(&key_v, *line)?;
-                                Ok(t.borrow().get(&k))
-                            }
-                            Value::Nil => Err(PolicyError::runtime(
-                                *line,
-                                format!(
-                                    "attempt to index a nil value (key '{}')",
-                                    key_v.display_string()
-                                ),
-                            )),
-                            other => Err(PolicyError::runtime(
-                                *line,
-                                format!("cannot index a {} value", other.type_name()),
-                            )),
-                        }
-                    }
-                }
-            }
-            SExpr::Call { callee, args, line } => {
-                let f = self.eval(callee)?;
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(self.eval(a)?);
-                }
-                match f {
-                    Value::Native(_, func) => func(&mut self.scratch, &argv),
-                    Value::Nil => Err(PolicyError::runtime(
-                        *line,
-                        "attempt to call a nil value (is the function defined in the Mantle \
-                         environment?)",
-                    )),
-                    other => Err(PolicyError::runtime(
-                        *line,
-                        format!("attempt to call a {} value", other.type_name()),
-                    )),
-                }
-            }
-            SExpr::Unary { op, operand, line } => {
-                let v = self.eval(operand)?;
-                match op {
-                    UnOp::Neg => Ok(Value::Number(-v.as_number(*line)?)),
-                    UnOp::Not => Ok(Value::Bool(!v.truthy())),
-                    UnOp::Len => match v {
-                        Value::Table(t) => Ok(Value::Number(t.borrow().len() as f64)),
-                        Value::Str(s) => Ok(Value::Number(s.len() as f64)),
-                        other => Err(PolicyError::runtime(
-                            *line,
-                            format!("attempt to get length of a {} value", other.type_name()),
-                        )),
-                    },
-                }
-            }
-            SExpr::Binary { op, lhs, rhs, line } => self.eval_binary(*op, lhs, rhs, *line),
-            SExpr::TableCtor { items, pairs, line } => {
-                let mut t = Table::new();
-                for (i, item) in items.iter().enumerate() {
-                    let v = self.eval(item)?;
-                    t.set_int(i as i64 + 1, v);
-                }
-                for (k, v) in pairs {
-                    let key_v = self.eval(k)?;
-                    let val = self.eval(v)?;
-                    t.set(Key::from_value(&key_v, *line)?, val);
-                }
-                Ok(Value::table(t))
-            }
-        }
-    }
-
-    fn eval_binary(
-        &mut self,
-        op: BinOp,
-        lhs: &SExpr,
-        rhs: &SExpr,
-        line: u32,
-    ) -> PolicyResult<Value> {
-        match op {
-            BinOp::And => {
-                let l = self.eval(lhs)?;
-                return if l.truthy() { self.eval(rhs) } else { Ok(l) };
-            }
-            BinOp::Or => {
-                let l = self.eval(lhs)?;
-                return if l.truthy() { Ok(l) } else { self.eval(rhs) };
-            }
-            _ => {}
-        }
-        let l = self.eval(lhs)?;
-        let r = self.eval(rhs)?;
-        match op {
-            BinOp::Add => Ok(Value::Number(l.as_number(line)? + r.as_number(line)?)),
-            BinOp::Sub => Ok(Value::Number(l.as_number(line)? - r.as_number(line)?)),
-            BinOp::Mul => Ok(Value::Number(l.as_number(line)? * r.as_number(line)?)),
-            BinOp::Div => Ok(Value::Number(l.as_number(line)? / r.as_number(line)?)),
-            BinOp::Mod => {
-                let (a, b) = (l.as_number(line)?, r.as_number(line)?);
-                Ok(Value::Number(a - (a / b).floor() * b))
-            }
-            BinOp::Pow => Ok(Value::Number(l.as_number(line)?.powf(r.as_number(line)?))),
-            BinOp::Concat => {
-                let ls = concat_operand(&l, line)?;
-                let rs = concat_operand(&r, line)?;
-                Ok(Value::str(format!("{ls}{rs}")))
-            }
-            BinOp::Eq => Ok(Value::Bool(l.lua_eq(&r))),
-            BinOp::Ne => Ok(Value::Bool(!l.lua_eq(&r))),
-            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let ord = compare(&l, &r, line)?;
-                Ok(Value::Bool(match op {
-                    BinOp::Lt => ord == std::cmp::Ordering::Less,
-                    BinOp::Le => ord != std::cmp::Ordering::Greater,
-                    BinOp::Gt => ord == std::cmp::Ordering::Greater,
-                    BinOp::Ge => ord != std::cmp::Ordering::Less,
-                    _ => unreachable!(),
-                }))
-            }
-            BinOp::And | BinOp::Or => unreachable!("handled above"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Scalar metaload fast path
 // ---------------------------------------------------------------------------
 
@@ -883,7 +484,7 @@ pub struct ScalarMetaload {
 impl ScalarMetaload {
     /// Try to compile `script` to scalar form. Returns `None` when the hook
     /// is anything but a single-expression linear combination of the five
-    /// counters (callers fall back to the slot evaluator).
+    /// counters (callers fall back to the bytecode VM).
     pub fn extract(script: &Script) -> Option<ScalarMetaload> {
         let [Stmt::Return {
             value: Some(expr), ..
@@ -1137,169 +738,9 @@ fn mds_term_of(e: &Expr) -> Option<MdsTerm> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse_expression_script, parse_script};
-    use crate::stdlib;
-
-    /// Run a script on both evaluators with the given numeric globals and
-    /// assert results (and step counts) agree exactly.
-    fn differential(src: &str, globals: &[(&str, f64)]) -> (Value, Value) {
-        let script = parse_script(src).unwrap();
-
-        let mut interp = Interpreter::new();
-        stdlib::install(&mut interp);
-        for (name, v) in globals {
-            interp.set_global(name, Value::Number(*v));
-        }
-        let tree = interp.run(&script);
-
-        let prog = SlotProgram::compile(&script);
-        let mut vm = SlotVm::new(&prog, StepBudget::default());
-        // Base env: stdlib + numeric globals, written straight to slots.
-        let mut stdlib_interp = Interpreter::new();
-        stdlib::install(&mut stdlib_interp);
-        for (i, name) in prog.global_names().iter().enumerate() {
-            vm.set_global(i, stdlib_interp.get_global(name));
-        }
-        for (name, v) in globals {
-            if let Some(slot) = prog.global_slot(name) {
-                vm.set_global(slot, Value::Number(*v));
-            }
-        }
-        let slot = vm.run(&prog);
-
-        match (&tree, &slot) {
-            (Ok(a), Ok(b)) => {
-                assert!(
-                    values_identical(a, b),
-                    "mismatch on {src:?}: tree={a:?} slot={b:?}"
-                );
-                assert_eq!(
-                    interp.steps_used(),
-                    vm.steps_used(),
-                    "step divergence on {src:?}"
-                );
-            }
-            (Err(a), Err(b)) => assert_eq!(a, b, "error mismatch on {src:?}"),
-            (a, b) => panic!("outcome mismatch on {src:?}: tree={a:?} slot={b:?}"),
-        }
-        (tree.unwrap_or(Value::Nil), slot.unwrap_or(Value::Nil))
-    }
-
-    fn values_identical(a: &Value, b: &Value) -> bool {
-        match (a, b) {
-            (Value::Number(x), Value::Number(y)) => x.to_bits() == y.to_bits(),
-            _ => a.lua_eq(b) || (matches!(a, Value::Nil) && matches!(b, Value::Nil)),
-        }
-    }
-
-    #[test]
-    fn arithmetic_and_logic_agree() {
-        differential("return 1 + 2 * 3 - 4 / 8", &[]);
-        differential("return 2 ^ 3 ^ 2", &[]);
-        differential("return -7 % 3", &[]);
-        differential("return (x > 2) and x or -x", &[("x", 5.0)]);
-        differential("return \"n=\" .. 3 .. \"!\"", &[]);
-    }
-
-    #[test]
-    fn locals_and_scoping_agree() {
-        differential("x = 1 local y = 2 x = x + y return x", &[]);
-        differential("local x = 1 do local x = 2 end return x", &[]);
-        differential("local x = x return x", &[("x", 9.0)]);
-        // Read before the `local` in the same block sees the global.
-        differential("g = 10 y = g local g = 1 return y + g", &[]);
-    }
-
-    #[test]
-    fn loops_agree() {
-        differential("s = 0 for i = 1, 10 do s = s + i end return s", &[]);
-        differential("s = 0 for i = 10, 1, -2 do s = s + i end return s", &[]);
-        differential(
-            "i = 0 while true do i = i + 1 if i >= 5 then break end end return i",
-            &[],
-        );
-        // Loop-carried local shadowing: iteration 2 must re-resolve like
-        // the dynamic scope stack (fresh scope per iteration).
-        differential(
-            "y = 0 for i = 1, 3 do y = y + v local v = i end return y",
-            &[("v", 100.0)],
-        );
-    }
-
-    #[test]
-    fn tables_agree() {
-        differential(
-            "t = {10, 20, 30} t[4] = 40 t[\"name\"] = 7 return #t + t[2] + t.name",
-            &[],
-        );
-        differential("m = {a = {1, 2}, b = {x = 9}} return m.a[2] + m.b.x", &[]);
-    }
-
-    #[test]
-    fn natives_agree() {
-        differential("return max(3, min(x, 10)) + math.floor(2.7)", &[("x", 7.0)]);
-    }
-
-    #[test]
-    fn errors_agree() {
-        differential("return nothere[\"load\"]", &[]);
-        differential("return RDstate()", &[]);
-        differential("for i=1,10,0 do end", &[]);
-        differential("return 1 < \"2\"", &[]);
-        differential("return #x", &[("x", 1.0)]);
-    }
-
-    #[test]
-    fn budget_errors_agree_on_step() {
-        let script = parse_script("while 1 do end").unwrap();
-        let mut interp = Interpreter::new().with_budget(StepBudget(10_000));
-        let tree = interp.run(&script).unwrap_err();
-        let prog = SlotProgram::compile(&script);
-        let mut vm = SlotVm::new(&prog, StepBudget(10_000));
-        let slot = vm.run(&prog).unwrap_err();
-        assert_eq!(tree, slot);
-    }
-
-    #[test]
-    fn listing_4_differential() {
-        // The Adaptable Balancer body shape, with table env.
-        let src = r#"
-mymax = 0
-for i=1,#MDSs do
-  if MDSs[i]["load"] > mymax then mymax = MDSs[i]["load"] end
-end
-return mymax
-"#;
-        let script = parse_script(src).unwrap();
-        let mk = |load: f64| Value::table(Table::from_fields([("load", Value::Number(load))]));
-        let mdss = || Value::table(Table::from_array([mk(90.0), mk(5.0), mk(35.0)]));
-
-        let mut interp = Interpreter::new();
-        interp.set_global("MDSs", mdss());
-        let tree = interp.run(&script).unwrap();
-
-        let prog = SlotProgram::compile(&script);
-        let mut vm = SlotVm::new(&prog, StepBudget::default());
-        vm.set_global(prog.global_slot("MDSs").unwrap(), mdss());
-        let slot = vm.run(&prog).unwrap();
-        assert!(values_identical(&tree, &slot));
-        assert_eq!(interp.steps_used(), vm.steps_used());
-    }
-
-    #[test]
-    fn vm_reuse_resets_environment() {
-        let script = parse_script("seen = seen + 1 return seen").unwrap();
-        let prog = SlotProgram::compile(&script);
-        let mut vm = SlotVm::new(&prog, StepBudget::default());
-        let base = vec![Value::Number(0.0); prog.n_globals()];
-        for _ in 0..3 {
-            vm.reset_globals(&base);
-            let v = vm.run(&prog).unwrap();
-            // Each run starts from the base image, as a fresh interpreter
-            // with `set_global` calls would.
-            assert_eq!(v.as_number(0).unwrap(), 1.0);
-        }
-    }
+    use crate::interp::Interpreter;
+    use crate::parser::parse_expression_script;
+    use crate::value::Table;
 
     // ---- scalar fast path ----
 

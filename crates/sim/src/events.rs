@@ -4,45 +4,32 @@
 //! for the same instant always pop in the order they were pushed. This is
 //! what makes whole-cluster runs bit-for-bit reproducible for a given seed.
 //!
-//! Two interchangeable backends implement that contract:
-//!
-//! * [`SchedulerKind::Heap`] — a `BinaryHeap` ordered on `(time, seq)`.
-//!   O(log n) per operation, minimal constant factor, and simple enough to
-//!   serve as the differential oracle;
-//! * [`SchedulerKind::Wheel`] — a hierarchical timing wheel
-//!   ([`crate::wheel`]), O(1) push and O(1) amortized pop, for scale-mode
-//!   runs with ≥100k pending events.
-//!
-//! Fixed-seed runs produce byte-identical results on either backend; the
-//! repo's `scheduler_equivalence` test enforces this across every built-in
-//! balancer and fault scenario.
+//! The backing store is a `BinaryHeap` ordered on `(time, seq)`: O(log n)
+//! per operation with a small constant factor. Cluster runs keep only
+//! hundreds to low thousands of events pending, so the queue is a small
+//! share of a run's time.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-use crate::wheel::TimingWheel;
 
-/// Which event-queue backend a simulation run uses.
+/// The event-queue backend. There is one: the binary heap.
 ///
-/// Both backends pop in identical `(time, insertion-seq)` order; they
-/// differ only in asymptotics. `Heap` is the default and the differential
-/// oracle; `Wheel` is the scale-mode engine.
+/// Kept only because the repository benchmark (`perfbench/`) prints the
+/// resolved default as `scheduler=heap`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerKind {
-    /// Binary heap: O(log n) push/pop, the reference implementation.
+    /// Binary heap: O(log n) push/pop.
     #[default]
     Heap,
-    /// Hierarchical timing wheel: O(1) push, O(1) amortized pop.
-    Wheel,
 }
 
 impl SchedulerKind {
-    /// Short lowercase name (`"heap"` / `"wheel"`), for reports and CLI.
+    /// Short lowercase name (`"heap"`), for reports.
     pub fn name(self) -> &'static str {
         match self {
             SchedulerKind::Heap => "heap",
-            SchedulerKind::Wheel => "wheel",
         }
     }
 }
@@ -82,13 +69,6 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// The storage strategy behind an [`EventQueue`].
-#[derive(Debug)]
-enum Backend<E> {
-    Heap(BinaryHeap<Scheduled<E>>),
-    Wheel(Box<TimingWheel<E>>),
-}
-
 /// Priority queue of timestamped events with stable FIFO tie-breaking.
 ///
 /// The queue owns the virtual clock: [`pop`](EventQueue::pop) advances
@@ -96,9 +76,9 @@ enum Backend<E> {
 /// scheduling in the past clamps to `now` (asserting in debug builds).
 ///
 /// ```
-/// use mantle_sim::{EventQueue, SchedulerKind, SimTime};
+/// use mantle_sim::{EventQueue, SimTime};
 ///
-/// let mut q = EventQueue::with_scheduler(SchedulerKind::Wheel);
+/// let mut q = EventQueue::new();
 /// q.schedule_at(SimTime::from_millis(2), "late");
 /// q.schedule_at(SimTime::from_millis(1), "early");
 /// q.schedule_at(SimTime::from_millis(1), "early-but-second");
@@ -111,7 +91,7 @@ enum Backend<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
     now: SimTime,
 }
@@ -123,29 +103,12 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty heap-backed queue with the clock at zero.
+    /// An empty queue with the clock at zero.
     pub fn new() -> Self {
-        Self::with_scheduler(SchedulerKind::Heap)
-    }
-
-    /// An empty queue on the chosen backend with the clock at zero.
-    pub fn with_scheduler(kind: SchedulerKind) -> Self {
-        let backend = match kind {
-            SchedulerKind::Heap => Backend::Heap(BinaryHeap::new()),
-            SchedulerKind::Wheel => Backend::Wheel(Box::new(TimingWheel::new())),
-        };
         EventQueue {
-            backend,
+            heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn scheduler(&self) -> SchedulerKind {
-        match self.backend {
-            Backend::Heap(_) => SchedulerKind::Heap,
-            Backend::Wheel(_) => SchedulerKind::Wheel,
         }
     }
 
@@ -165,10 +128,7 @@ impl<E> EventQueue<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(Scheduled { at, seq, event }),
-            Backend::Wheel(wheel) => wheel.push(at.as_micros(), seq, event),
-        }
+        self.heap.push(Scheduled { at, seq, event });
     }
 
     /// Schedule `event` after a relative delay from `now`.
@@ -179,88 +139,53 @@ impl<E> EventQueue<E> {
     /// Schedule `event` at `at` under an explicit tie-break key instead of
     /// the queue's insertion counter.
     ///
-    /// Same-instant events pop in ascending key order. This is what lets
-    /// the sharded cluster engine impose one *global* total order across
-    /// many queues: every producer stamps events with a key that encodes
-    /// its identity, so the merged pop order is independent of which queue
-    /// an event sat in. Keys must be unique per instant; don't mix keyed
-    /// and auto-seq scheduling in one queue unless the key spaces are
-    /// disjoint.
+    /// Same-instant events pop in ascending key order. The cluster engine
+    /// stamps every event with a key that encodes the simulated entity
+    /// that produced it, so tie-breaking depends on who generated an event
+    /// rather than on when it was pushed. Keys must be unique per instant;
+    /// don't mix keyed and auto-seq scheduling in one queue unless the key
+    /// spaces are disjoint.
     pub fn schedule_at_key(&mut self, at: SimTime, key: u64, event: E) {
         debug_assert!(at >= self.now, "scheduled event in the past");
         let at = at.max(self.now);
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(Scheduled {
-                at,
-                seq: key,
-                event,
-            }),
-            Backend::Wheel(wheel) => wheel.push(at.as_micros(), key, event),
-        }
+        self.heap.push(Scheduled {
+            at,
+            seq: key,
+            event,
+        });
     }
 
     /// Pop the next event, advancing the clock to its firing time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let popped = match &mut self.backend {
-            Backend::Heap(heap) => heap.pop().map(|s| (s.at, s.event)),
-            Backend::Wheel(wheel) => wheel.pop().map(|(us, e)| (SimTime::from_micros(us), e)),
-        };
+        let popped = self.heap.pop().map(|s| (s.at, s.event));
         popped.inspect(|&(at, _)| self.now = at)
-    }
-
-    /// Pop the next event together with its tie-break key (the insertion
-    /// seq, or the caller's key for [`schedule_at_key`](Self::schedule_at_key)).
-    pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
-        let popped = match &mut self.backend {
-            Backend::Heap(heap) => heap.pop().map(|s| (s.at, s.seq, s.event)),
-            Backend::Wheel(wheel) => wheel
-                .pop_keyed()
-                .map(|(us, k, e)| (SimTime::from_micros(us), k, e)),
-        };
-        popped.inspect(|&(at, ..)| self.now = at)
     }
 
     /// Pop the next event only if it fires strictly before `limit`,
     /// returning its key. Declined pops leave the queue (and the clock)
-    /// untouched — the windowed cluster engine drives each shard with this.
+    /// untouched — the windowed cluster engine drains its data plane with
+    /// this.
     pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, u64, E)> {
-        let popped = match &mut self.backend {
-            Backend::Heap(heap) => {
-                if heap.peek().is_some_and(|s| s.at < limit) {
-                    heap.pop().map(|s| (s.at, s.seq, s.event))
-                } else {
-                    None
-                }
-            }
-            Backend::Wheel(wheel) => wheel
-                .pop_before(limit.as_micros())
-                .map(|(us, k, e)| (SimTime::from_micros(us), k, e)),
-        };
+        if self.heap.peek().is_none_or(|s| s.at >= limit) {
+            return None;
+        }
+        let popped = self.heap.pop().map(|s| (s.at, s.seq, s.event));
         popped.inspect(|&(at, ..)| self.now = at)
     }
 
     /// Firing time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(heap) => heap.peek().map(|s| s.at),
-            Backend::Wheel(wheel) => wheel.peek().map(SimTime::from_micros),
-        }
+        self.heap.peek().map(|s| s.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Wheel(wheel) => wheel.len(),
-        }
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        match &self.backend {
-            Backend::Heap(heap) => heap.is_empty(),
-            Backend::Wheel(wheel) => wheel.is_empty(),
-        }
+        self.heap.is_empty()
     }
 }
 
@@ -268,66 +193,56 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
-    const BOTH: [SchedulerKind; 2] = [SchedulerKind::Heap, SchedulerKind::Wheel];
-
     #[test]
     fn pops_in_time_order() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_scheduler(kind);
-            q.schedule_at(SimTime::from_millis(30), "c");
-            q.schedule_at(SimTime::from_millis(10), "a");
-            q.schedule_at(SimTime::from_millis(20), "b");
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec!["a", "b", "c"], "{kind:?}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_millis(30), "c");
+        q.schedule_at(SimTime::from_millis(10), "a");
+        q.schedule_at(SimTime::from_millis(20), "b");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["a", "b", "c"]);
     }
 
     #[test]
     fn ties_break_fifo() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_scheduler(kind);
-            let t = SimTime::from_millis(5);
-            for i in 0..100 {
-                q.schedule_at(t, i);
-            }
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{kind:?}");
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(5);
+        for i in 0..100 {
+            q.schedule_at(t, i);
         }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn clock_advances_with_pops() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_scheduler(kind);
-            q.schedule_in(SimTime::from_millis(7), ());
-            assert_eq!(q.now(), SimTime::ZERO);
-            q.pop();
-            assert_eq!(q.now(), SimTime::from_millis(7));
-            // Relative scheduling now uses the advanced clock.
-            q.schedule_in(SimTime::from_millis(3), ());
-            assert_eq!(q.peek_time(), Some(SimTime::from_millis(10)));
-        }
+        let mut q = EventQueue::new();
+        q.schedule_in(SimTime::from_millis(7), ());
+        assert_eq!(q.now(), SimTime::ZERO);
+        q.pop();
+        assert_eq!(q.now(), SimTime::from_millis(7));
+        // Relative scheduling now uses the advanced clock.
+        q.schedule_in(SimTime::from_millis(3), ());
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(10)));
     }
 
     #[test]
     fn len_and_empty() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_scheduler(kind);
-            assert!(q.is_empty());
-            q.schedule_in(SimTime::ZERO, 1);
-            q.schedule_in(SimTime::ZERO, 2);
-            assert_eq!(q.len(), 2);
-            q.pop();
-            q.pop();
-            assert!(q.is_empty());
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        q.schedule_in(SimTime::ZERO, 1);
+        q.schedule_in(SimTime::ZERO, 2);
+        assert_eq!(q.len(), 2);
+        q.pop();
+        q.pop();
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn default_is_heap() {
         let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.scheduler(), SchedulerKind::Heap);
+        assert!(q.is_empty());
         assert_eq!(SchedulerKind::default(), SchedulerKind::Heap);
     }
 
@@ -345,68 +260,55 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        not(debug_assertions),
-        ignore = "debug_assert only fires in debug builds"
-    )]
-    #[should_panic(expected = "scheduled event in the past")]
-    fn wheel_scheduling_in_the_past_asserts_in_debug() {
-        let mut q = EventQueue::with_scheduler(SchedulerKind::Wheel);
-        q.schedule_at(SimTime::from_millis(10), ());
-        q.pop();
-        q.schedule_at(SimTime::from_millis(5), ());
-    }
-
-    #[test]
     fn explicit_keys_order_same_instant_events() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_scheduler(kind);
-            let t = SimTime::from_millis(1);
-            q.schedule_at_key(t, 30, "c");
-            q.schedule_at_key(t, 10, "a");
-            q.schedule_at_key(t, 20, "b");
-            assert_eq!(q.pop_keyed(), Some((t, 10, "a")), "{kind:?}");
-            assert_eq!(q.pop_keyed(), Some((t, 20, "b")), "{kind:?}");
-            assert_eq!(q.pop_keyed(), Some((t, 30, "c")), "{kind:?}");
-        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(1);
+        q.schedule_at_key(t, 30, "c");
+        q.schedule_at_key(t, 10, "a");
+        q.schedule_at_key(t, 20, "b");
+        let limit = t + SimTime::from_micros(1);
+        assert_eq!(q.pop_before(limit), Some((t, 10, "a")));
+        assert_eq!(q.pop_before(limit), Some((t, 20, "b")));
+        assert_eq!(q.pop_before(limit), Some((t, 30, "c")));
     }
 
     #[test]
     fn pop_before_is_exclusive_and_non_destructive() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_scheduler(kind);
-            q.schedule_at_key(SimTime::from_micros(100), 1, "x");
-            q.schedule_at_key(SimTime::from_micros(300), 2, "y");
-            assert_eq!(q.pop_before(SimTime::from_micros(100)), None, "{kind:?}");
-            assert_eq!(q.len(), 2);
-            assert_eq!(
-                q.pop_before(SimTime::from_micros(101)),
-                Some((SimTime::from_micros(100), 1, "x")),
-                "{kind:?}"
-            );
-            assert_eq!(q.pop_before(SimTime::from_micros(200)), None, "{kind:?}");
-            assert_eq!(
-                q.now(),
-                SimTime::from_micros(100),
-                "declined pop holds the clock"
-            );
-            assert_eq!(
-                q.pop_before(SimTime::from_micros(301)),
-                Some((SimTime::from_micros(300), 2, "y")),
-                "{kind:?}"
-            );
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at_key(SimTime::from_micros(100), 1, "x");
+        q.schedule_at_key(SimTime::from_micros(300), 2, "y");
+        assert_eq!(q.pop_before(SimTime::from_micros(100)), None);
+        assert_eq!(q.len(), 2);
+        assert_eq!(
+            q.pop_before(SimTime::from_micros(101)),
+            Some((SimTime::from_micros(100), 1, "x"))
+        );
+        assert_eq!(q.pop_before(SimTime::from_micros(200)), None);
+        assert_eq!(
+            q.now(),
+            SimTime::from_micros(100),
+            "declined pop holds the clock"
+        );
+        assert_eq!(
+            q.pop_before(SimTime::from_micros(301)),
+            Some((SimTime::from_micros(300), 2, "y"))
+        );
     }
 
-    /// The backends must agree on arbitrary interleavings of scheduling
-    /// and popping, including same-instant bursts and far-future events.
+    /// Arbitrary interleavings of scheduling and popping, including
+    /// same-instant bursts and far-future events, pop exactly like a
+    /// stable sort on `(time, insertion order)`.
     #[test]
-    fn backends_agree_on_mixed_interleaving() {
-        let mut heap = EventQueue::with_scheduler(SchedulerKind::Heap);
-        let mut wheel = EventQueue::with_scheduler(SchedulerKind::Wheel);
+    fn matches_a_sorted_reference_on_mixed_interleaving() {
+        let mut q = EventQueue::new();
+        let mut reference: Vec<(SimTime, u64)> = Vec::new();
         let mut rng = crate::SimRng::new(0xD1FF).stream("events-mixed");
         let mut next_id = 0u64;
-        let mut popped = Vec::new();
+        let pop_both = |q: &mut EventQueue<u64>, reference: &mut Vec<(SimTime, u64)>| {
+            let expected = (!reference.is_empty()).then(|| reference.remove(0));
+            assert_eq!(q.pop(), expected);
+            expected.is_some()
+        };
         for round in 0..2_000 {
             let burst = 1 + (rng.next_u64() % 4) as usize;
             for _ in 0..burst {
@@ -414,27 +316,20 @@ mod tests {
                     0..=5 => rng.next_u64() % 1_000,             // sub-ms
                     6..=7 => rng.next_u64() % 20_000_000,        // ≤ 20 s
                     8 => 0,                                      // same instant
-                    _ => (1 << 37) + rng.next_u64() % (1 << 20), // overflow range
+                    _ => (1 << 37) + rng.next_u64() % (1 << 20), // far future
                 };
-                let at = heap.now() + SimTime::from_micros(delay);
-                heap.schedule_at(at, next_id);
-                wheel.schedule_at(at, next_id);
+                let at = q.now() + SimTime::from_micros(delay);
+                q.schedule_at(at, next_id);
+                // Ids grow with insertion, so sorting on (time, id) is
+                // the stable order the queue promises.
+                let pos = reference.partition_point(|&e| e <= (at, next_id));
+                reference.insert(pos, (at, next_id));
                 next_id += 1;
             }
             if round % 3 != 0 {
-                let a = heap.pop();
-                let b = wheel.pop();
-                assert_eq!(a, b, "divergence at round {round}");
-                popped.push(a);
+                pop_both(&mut q, &mut reference);
             }
         }
-        loop {
-            let a = heap.pop();
-            let b = wheel.pop();
-            assert_eq!(a, b, "divergence during final drain");
-            if a.is_none() {
-                break;
-            }
-        }
+        while pop_both(&mut q, &mut reference) {}
     }
 }

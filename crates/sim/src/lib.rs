@@ -14,9 +14,7 @@
 //! describes in §2.2.2 (which we re-introduce *deliberately*, as seeded
 //! noise, in the MDS crate).
 //!
-//! The queue has two backends ([`SchedulerKind`]): a binary heap (default,
-//! the differential oracle) and a hierarchical timing wheel for
-//! scale-mode runs; both honor the same pop-order contract.
+//! The queue is a binary heap; [`SchedulerKind`] names it for reports.
 
 #![warn(missing_docs)]
 
@@ -25,7 +23,6 @@ pub mod events;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod wheel;
 
 pub use clock::{ClockMode, WallClock};
 pub use events::{EventQueue, Scheduled, SchedulerKind};

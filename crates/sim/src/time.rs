@@ -1,11 +1,7 @@
 //! Virtual time. The simulation clock counts whole **microseconds** from
 //! the start of a run — metadata service times are in the hundreds of µs,
 //! while the paper's macro constants (10 s heartbeats, minute-scale runs)
-//! still fit in a u64 with room to spare. The timing-wheel scheduler
-//! ([`crate::wheel`]) exploits this unit choice: its five 256-slot levels
-//! cover `2^40` µs ≈ 12.7 days of virtual time, comfortably past any run
-//! cap, so in practice only pathological schedules touch its overflow
-//! list.
+//! still fit in a u64 with room to spare.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};

@@ -17,7 +17,7 @@
 //! Every client issues `ops_per_day × days` ops total, so the run spans
 //! `days` full periods and the load swings between `night_clients` and
 //! `clients` active streams. Deterministic given the seed; the pacing is
-//! a pure function of `(client, now)`, as sharded execution requires.
+//! a pure function of `(client, now)`, so fixed-seed runs reproduce.
 
 use mantle_mds::{ClientOp, Workload};
 use mantle_namespace::{Namespace, NodeId, OpKind};

@@ -26,12 +26,10 @@
 //! * `metaload_hook`: one Table-1 `metaload` evaluation — the
 //!   scalar-compiled fast path against the tree-walking interpreter;
 //! * `decide_hook`: one full when/where decision (adaptable policy) on
-//!   all three hook engines — the default bytecode VM (cached decide
-//!   environment + scalar mdsload), the slot VM (compiled hooks, fresh
-//!   environment per call), and per-call interpreter setup. The bytecode
-//!   engine is gated ≥ 2× the slot path on this non-scalar decision
-//!   hook, and the scalar `metaload` path must never be slower under the
-//!   bytecode engine than under the slot engine;
+//!   both hook engines — the default bytecode VM (cached decide
+//!   environment + scalar mdsload) and the tree interpreter with per-call
+//!   setup. The bytecode engine is gated ≥ 2× the tree interpreter on
+//!   this non-scalar decision hook;
 //! * `end_to_end`: a small create-shared experiment wall-clock, fast vs
 //!   forced-slow hook engine (results are byte-identical; only time may
 //!   differ);
@@ -39,17 +37,8 @@
 //!   following load snapshot on a ~10 000-directory namespace — the
 //!   incremental index (bounded subtree walk + delta aggregates) against
 //!   the walk-oracle path (full-namespace aggregate rebuild per tick);
-//! * `scale`: the event-queue backends — steady-state push+pop throughput
-//!   at ≥100k pending events (timing wheel vs binary heap), plus
-//!   whole-cluster wall-clock rows at 10/64/128 MDSs on both backends
-//!   (reports asserted byte-identical, and the wheel is asserted to never
-//!   be slower than the heap on any committed cluster row);
-//! * `parallel`: the sharded engine — the 128-MDS row on 1/2/4/8 worker
-//!   threads (reports asserted byte-identical to the single-threaded
-//!   oracle). The ≥2.5× speedup gate at 4 threads arms only when the
-//!   host actually has ≥4 cores; on smaller hosts the numbers are still
-//!   recorded (barrier overhead makes sharding a slowdown there — see
-//!   DESIGN.md §14);
+//! * `scale`: whole-cluster wall-clock rows at 10/64/128 MDSs (best of
+//!   three runs each, reruns asserted byte-identical);
 //! * `cache`: the proxy-cache tier — `GroupCache` lookup/fill cost on a
 //!   bench-sized namespace, plus the flash-crowd storm run cache-off and
 //!   cache-on (simulated ops/s, hit rate). The cache-on/off speedup is
@@ -69,12 +58,12 @@ use mantle::core::elastic;
 use mantle::core::flashcrowd::{client_ops, ops_per_sec, run_pair};
 use mantle::core::policies;
 use mantle::core::repro::ReproOpts;
-use mantle::core::scale::{run_scale, run_scale_mode, ScaleSpec};
-use mantle::mds::{ExecMode, GroupCache, HookEngine};
+use mantle::core::scale::{run_scale, ScaleSpec};
+use mantle::mds::{GroupCache, HookEngine};
 use mantle::namespace::{IndexMode, Namespace, NodeId, NsConfig, OpKind};
 use mantle::policy::env::{BalancerInputs, FragMetrics, MantleRuntime, MdsMetrics};
 use mantle::prelude::*;
-use mantle::sim::{EventQueue, SimRng, SimTime};
+use mantle::sim::SimTime;
 
 const NUM_MDS: usize = 3;
 
@@ -248,21 +237,16 @@ fn run_smoke() {
         );
     }
 
-    // The decide pipeline on all three hook engines, same inputs, must be
+    // The decide pipeline on both hook engines, same inputs, must be
     // bit-identical (the timing run gates speed; smoke gates agreement).
     let inputs = decide_inputs();
-    let outcomes: Vec<_> = [HookEngine::Bytecode, HookEngine::Slot, HookEngine::Tree]
-        .iter()
-        .map(|&e| {
-            MantleRuntime::new(policies::adaptable().expect("preset compiles"))
-                .with_engine(e)
-                .decide(&inputs)
-                .expect("adaptable decides cleanly")
-        })
-        .collect();
-    for w in outcomes.windows(2) {
-        assert_eq!(w[0], w[1], "smoke: hook engines disagree on decide");
-    }
+    let [bytecode, tree] = [HookEngine::Bytecode, HookEngine::Tree].map(|e| {
+        MantleRuntime::new(policies::adaptable().expect("preset compiles"))
+            .with_engine(e)
+            .decide(&inputs)
+            .expect("adaptable decides cleanly")
+    });
+    assert_eq!(bytecode, tree, "smoke: hook engines disagree on decide");
 
     let leaves_inc = project_leaves(&inc, 8);
     let leaves_ora = project_leaves(&ora, 8);
@@ -317,28 +301,6 @@ fn run_smoke() {
         "smoke: trace captured almost nothing"
     );
     assert_invariants(trace.records());
-
-    // Scheduler smoke: both queue backends drain an identical randomized
-    // schedule in the identical order (no timing, just the contract).
-    let mut heap_q = EventQueue::with_scheduler(SchedulerKind::Heap);
-    let mut wheel_q = EventQueue::with_scheduler(SchedulerKind::Wheel);
-    let mut rng = SimRng::new(0xBEEF).stream("queue-smoke");
-    for i in 0..2_000u64 {
-        let d = event_delay(&mut rng);
-        heap_q.schedule_in(d, i);
-        wheel_q.schedule_in(d, i);
-        if i % 3 == 0 {
-            assert_eq!(
-                heap_q.pop(),
-                wheel_q.pop(),
-                "smoke: queue backends diverged"
-            );
-        }
-    }
-    while let Some(a) = heap_q.pop() {
-        assert_eq!(Some(a), wheel_q.pop(), "smoke: queue backends diverged");
-    }
-    assert!(wheel_q.is_empty());
 
     // Cache smoke: the flash-crowd storm at quick size, cache off vs on.
     // Same client completions either way (hits bypass the MDS but not the
@@ -404,45 +366,6 @@ fn run_smoke() {
     );
 }
 
-/// A cluster-shaped delay: mostly sub-ms service/RTT hops, some
-/// multi-ms stragglers, and the occasional heartbeat-scale timer.
-fn event_delay(rng: &mut SimRng) -> SimTime {
-    let us = match rng.below(10) {
-        0..=7 => rng.below(1_000),
-        8 => rng.below(100_000),
-        _ => 2_000_000 + rng.below(8_000_000),
-    };
-    SimTime::from_micros(us)
-}
-
-/// Steady-state push+pop cost with `pending` events in flight: pop the
-/// earliest event, reschedule it at a fresh delay, repeat. The pop order
-/// is identical across backends (the queue contract), so both consume the
-/// same delay stream — which is drawn up front so the timed loop measures
-/// queue operations, not the RNG.
-fn queue_steady_state(kind: SchedulerKind, pending: usize, ops: u32) -> f64 {
-    let mut rng = SimRng::new(0xBEEF).stream("queue-bench");
-    let delays: Vec<SimTime> = (0..pending + ops as usize)
-        .map(|_| event_delay(&mut rng))
-        .collect();
-    let mut delays = delays.iter().cycle();
-    let mut q = EventQueue::with_scheduler(kind);
-    for i in 0..pending {
-        q.schedule_in(*delays.next().unwrap(), i as u64);
-    }
-    // Warm through one full queue turnover before timing.
-    for _ in 0..pending {
-        let (_, e) = q.pop().expect("queue stays full");
-        q.schedule_in(*delays.next().unwrap(), e);
-    }
-    let t0 = Instant::now();
-    for _ in 0..ops {
-        let (_, e) = q.pop().expect("queue stays full");
-        q.schedule_in(*delays.next().unwrap(), e);
-    }
-    t0.elapsed().as_secs_f64() / ops as f64
-}
-
 /// The bench-sized cluster rows: the scale family's 10/64/128 MDS shapes
 /// shrunk to bench-friendly op counts (the full sizes live in the `scale`
 /// bin and EXPERIMENTS.md).
@@ -497,18 +420,6 @@ fn main() {
         run_smoke();
         return;
     }
-    if std::env::args().any(|a| a == "--queue") {
-        // Just the queue-backend comparison, for iterating on the wheel.
-        let heap = queue_steady_state(SchedulerKind::Heap, 100_000, 400_000);
-        let wheel = queue_steady_state(SchedulerKind::Wheel, 100_000, 400_000);
-        println!(
-            "queue @100k pending: heap {:.1} ns, wheel {:.1} ns, {:.1}x",
-            heap * 1e9,
-            wheel * 1e9,
-            heap / wheel
-        );
-        return;
-    }
     let now = SimTime::from_secs(1);
     let table1 = MantleRuntime::new(policies::cephfs_original().expect("preset compiles"));
     let table1_slow = MantleRuntime::new(policies::cephfs_original().expect("preset compiles"))
@@ -542,29 +453,19 @@ fn main() {
 
     // --- policy hooks: scalar/compiled fast paths vs tree-walking -------
     let heat = frag_metrics(3.0, 5.0, 1.0, 0.5, 0.25);
-    let table1_slot = MantleRuntime::new(policies::cephfs_original().expect("preset compiles"))
-        .with_engine(HookEngine::Slot);
     let meta_fast_s = time_per_call(200_000, || {
         black_box(table1.eval_metaload(0, &heat).unwrap());
-    });
-    let meta_slot_s = time_per_call(200_000, || {
-        black_box(table1_slot.eval_metaload(0, &heat).unwrap());
     });
     let meta_tree_s = time_per_call(50_000, || {
         black_box(table1_slow.eval_metaload(0, &heat).unwrap());
     });
 
     let adaptable = MantleRuntime::new(policies::adaptable().expect("preset compiles"));
-    let adaptable_slot = MantleRuntime::new(policies::adaptable().expect("preset compiles"))
-        .with_engine(HookEngine::Slot);
     let adaptable_slow = MantleRuntime::new(policies::adaptable().expect("preset compiles"))
         .with_force_slow_path(true);
     let inputs = decide_inputs();
     let decide_fast_s = time_per_call(20_000, || {
         black_box(adaptable.decide(&inputs).unwrap());
-    });
-    let decide_slot_s = time_per_call(20_000, || {
-        black_box(adaptable_slot.decide(&inputs).unwrap());
     });
     let decide_tree_s = time_per_call(5_000, || {
         black_box(adaptable_slow.decide(&inputs).unwrap());
@@ -618,94 +519,32 @@ fn main() {
     let (e2e_slow_s, ops_slow) = e2e(true);
     assert_eq!(ops, ops_slow, "engines must do identical work");
 
-    // --- scale: queue backends at ≥100k pending events ------------------
-    const PENDING: usize = 100_000;
-    let heap_pp_s = queue_steady_state(SchedulerKind::Heap, PENDING, 400_000);
-    let wheel_pp_s = queue_steady_state(SchedulerKind::Wheel, PENDING, 400_000);
-    let queue_speedup = heap_pp_s / wheel_pp_s;
-
     // --- scale: whole-cluster rows at 10/64/128 MDSs --------------------
     let mut cluster_rows = String::new();
     for (i, spec) in bench_scale_specs().iter().enumerate() {
         // Sub-second rows are jitter-dominated (mds-10 finishes in
-        // ~0.1s), so each backend gets best-of-3 and the gate below
-        // compares minima — stripping scheduler noise instead of
-        // widening the headroom.
-        let best_of = |kind: SchedulerKind| {
-            let mut best = run_scale(spec, kind, 42);
-            for _ in 0..2 {
-                let next = run_scale(spec, kind, 42);
-                assert_eq!(
-                    format!("{:?}", best.report),
-                    format!("{:?}", next.report),
-                    "{}: rerun changed the report",
-                    spec.name
-                );
-                if next.wall_secs < best.wall_secs {
-                    best = next;
-                }
+        // ~0.1s), so each row records the best of three runs.
+        let mut best = run_scale(spec, 42);
+        for _ in 0..2 {
+            let next = run_scale(spec, 42);
+            assert_eq!(
+                format!("{:?}", best.report),
+                format!("{:?}", next.report),
+                "{}: rerun changed the report",
+                spec.name
+            );
+            if next.wall_secs < best.wall_secs {
+                best = next;
             }
-            best
-        };
-        let heap = best_of(SchedulerKind::Heap);
-        let wheel = best_of(SchedulerKind::Wheel);
-        assert_eq!(
-            format!("{:?}", heap.report),
-            format!("{:?}", wheel.report),
-            "{}: scheduler backends must be byte-identical",
-            spec.name
-        );
-        // The wheel exists to beat the heap at scale; a row where it loses
-        // is a regression (the 64-MDS row caught exactly that when the
-        // wheel still had 64-slot levels). 5% headroom absorbs wall-clock
-        // jitter without letting a real regression through.
-        assert!(
-            wheel.wall_secs <= heap.wall_secs * 1.05,
-            "{}: wheel ({:.3}s) slower than heap ({:.3}s)",
-            spec.name,
-            wheel.wall_secs,
-            heap.wall_secs
-        );
+        }
         let _ = write!(
             cluster_rows,
-            "{}{{ \"num_mds\": {}, \"clients\": {}, \"total_ops\": {}, \
-             \"heap_s\": {:.3}, \"wheel_s\": {:.3} }}",
+            "{}{{ \"num_mds\": {}, \"clients\": {}, \"total_ops\": {}, \"wall_s\": {:.3} }}",
             if i == 0 { "" } else { ",\n      " },
             spec.num_mds,
             spec.clients,
             spec.total_ops(),
-            heap.wall_secs,
-            wheel.wall_secs,
-        );
-    }
-
-    // --- parallel: the sharded engine on the 128-MDS row ----------------
-    let host_cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let par_spec = bench_scale_specs().pop().expect("bench rows are fixed");
-    let (par_single, _) = run_scale_mode(&par_spec, ExecMode::Single, 42);
-    let single_repr = format!("{:?}", par_single.report);
-    let mut parallel_rows = format!(
-        "{{ \"threads\": 1, \"wall_s\": {:.3} }}",
-        par_single.wall_secs
-    );
-    let mut speedup_4t = 0.0;
-    for threads in [2usize, 4, 8] {
-        let (run, _) = run_scale_mode(&par_spec, ExecMode::Sharded { threads }, 42);
-        assert_eq!(
-            single_repr,
-            format!("{:?}", run.report),
-            "{}: {threads}-shard run must be byte-identical to the oracle",
-            par_spec.name
-        );
-        if threads == 4 {
-            speedup_4t = par_single.wall_secs / run.wall_secs.max(1e-9);
-        }
-        let _ = write!(
-            parallel_rows,
-            ",\n      {{ \"threads\": {threads}, \"wall_s\": {:.3} }}",
-            run.wall_secs
+            best.wall_secs,
         );
     }
 
@@ -780,7 +619,6 @@ fn main() {
     let snapshot_speedup = walk_s / agg_s;
     let metaload_speedup = meta_tree_s / meta_fast_s;
     let decide_speedup = decide_tree_s / decide_fast_s;
-    let decide_slot_speedup = decide_slot_s / decide_fast_s;
     let migration_speedup = mig_ora_s / mig_inc_s;
 
     let mut json = String::new();
@@ -796,15 +634,12 @@ fn main() {
   }},
   "metaload_hook": {{
     "fast_ns_per_eval": {mf:.1},
-    "slot_engine_ns_per_eval": {msl:.1},
     "tree_ns_per_eval": {mt:.1},
     "speedup": {ms:.1}
   }},
   "decide_hook": {{
     "bytecode_us_per_call": {df:.3},
-    "slot_us_per_call": {dsl:.3},
     "tree_us_per_call": {dt:.3},
-    "speedup_vs_slot": {dss:.1},
     "speedup_vs_tree": {ds:.1}
   }},
   "migration_tick": {{
@@ -819,24 +654,9 @@ fn main() {
     "slow_engine_s": {es:.3}
   }},
   "scale": {{
-    "queue_backend": {{
-      "pending_events": {pend},
-      "heap_ns_per_push_pop": {hq:.1},
-      "wheel_ns_per_push_pop": {wq:.1},
-      "speedup": {qs:.1}
-    }},
     "clusters": [
       {cluster_rows}
     ]
-  }},
-  "parallel": {{
-    "host_cores": {host_cores},
-    "scenario": "{par_name}",
-    "total_ops": {par_ops},
-    "threads": [
-      {parallel_rows}
-    ],
-    "speedup_4t": {sp4:.2}
   }},
   "cache": {{
     "group_cache_lookup_ns": {cl:.1},
@@ -866,26 +686,16 @@ fn main() {
         walk = walk_s * 1e6,
         snap = snapshot_speedup,
         mf = meta_fast_s * 1e9,
-        msl = meta_slot_s * 1e9,
         mt = meta_tree_s * 1e9,
         ms = metaload_speedup,
         df = decide_fast_s * 1e6,
-        dsl = decide_slot_s * 1e6,
         dt = decide_tree_s * 1e6,
-        dss = decide_slot_speedup,
         ds = decide_speedup,
         mi = mig_inc_s * 1e6,
         mo = mig_ora_s * 1e6,
         msp = migration_speedup,
         ef = e2e_fast_s,
         es = e2e_slow_s,
-        pend = PENDING,
-        hq = heap_pp_s * 1e9,
-        wq = wheel_pp_s * 1e9,
-        qs = queue_speedup,
-        par_name = par_spec.name,
-        par_ops = par_spec.total_ops(),
-        sp4 = speedup_4t,
         cl = cache_lookup_s * 1e9,
         cf = cache_fill_s * 1e9,
         storm_ops = client_ops(&storm_on),
@@ -915,30 +725,15 @@ fn main() {
         "incremental migration ticks must be ≥ 10× the walk-oracle path, \
          got {migration_speedup:.1}×"
     );
-    assert!(
-        queue_speedup >= 5.0,
-        "timing wheel must give ≥ 5× push+pop throughput over the heap at \
-         {PENDING} pending events, got {queue_speedup:.1}×"
-    );
     // The bytecode engine earns its default-engine status on the decide
     // path: the adaptable decision hook is a real script (loops, state,
     // no scalar shortcut), so this measures the dispatch-loop VM plus the
-    // cached decide environment against the slot VM with per-call
-    // environment construction.
+    // cached decide environment against the tree interpreter with
+    // per-call environment construction.
     assert!(
-        decide_slot_speedup >= 2.0,
-        "bytecode decide must be ≥ 2× the slot path on the adaptable \
-         (non-scalar) decision hook, got {decide_slot_speedup:.2}×"
-    );
-    // …and must never lose where the scalar fast path already wins: both
-    // engines hit ScalarMetaload, so any gap here is engine overhead
-    // creeping into the hottest hook. 1.2× headroom absorbs timer noise.
-    assert!(
-        meta_fast_s <= meta_slot_s * 1.2,
-        "scalar metaload under the bytecode engine ({:.1} ns) must not be \
-         slower than under the slot engine ({:.1} ns)",
-        meta_fast_s * 1e9,
-        meta_slot_s * 1e9
+        decide_speedup >= 2.0,
+        "bytecode decide must be ≥ 2× the tree interpreter on the adaptable \
+         (non-scalar) decision hook, got {decide_speedup:.2}×"
     );
     // The proxy-cache tier earns its keep on the flash-crowd storm: with
     // one hot directory pinning throughput to a single MDS's service
@@ -964,20 +759,4 @@ fn main() {
         "elastic must strictly beat every fixed size on the diurnal run, \
          got {el_advantage:.2}× the best fixed"
     );
-    // The parallel gate only means something when the worker threads can
-    // actually run concurrently. On a 1-core host the sharded engine pays
-    // barrier overhead for zero parallelism (an honest slowdown, recorded
-    // in the JSON) — so the gate arms at 4+ cores.
-    if host_cores >= 4 {
-        assert!(
-            speedup_4t >= 2.5,
-            "sharded engine must be ≥ 2.5× at 4 threads on the 128-MDS row \
-             (host has {host_cores} cores), got {speedup_4t:.2}×"
-        );
-    } else {
-        println!(
-            "note: parallel speedup gate disarmed — host has {host_cores} core(s); \
-             recorded 4-thread speedup {speedup_4t:.2}×"
-        );
-    }
 }

@@ -6,10 +6,9 @@
 //!   byte-identical to a configuration that never mentions the cache,
 //!   and every cache counter stays zero;
 //! * **on**, the simulation stays deterministic — byte-identical
-//!   reports across all three hook engines and across the sharded
-//!   execution modes, because every cache mutation (fill, LRU touch,
-//!   invalidation) is deferred to the window barrier and applied in
-//!   global `(time, key)` order.
+//!   reports on both hook engines, because every cache mutation (fill,
+//!   LRU touch, invalidation) is deferred to the window barrier and
+//!   applied in `(time, key)` order.
 //!
 //! And it must be *coherent*: a storm that keeps migrating subtrees
 //! while the cache serves hits must never serve a stale entry — the
@@ -18,7 +17,7 @@
 //! model and flags any hit the model cannot justify.
 
 use mantle::core::flashcrowd::{client_ops, storm_experiment};
-use mantle::mds::{ExecMode, HookEngine};
+use mantle::mds::HookEngine;
 use mantle::prelude::*;
 
 /// A mixed flash crowd: half the ops hammer the hot directory
@@ -26,15 +25,14 @@ use mantle::prelude::*;
 /// hard enough that balancers keep migrating even with the cache on —
 /// so one run exercises fills, hits, dentry invalidations, *and*
 /// migration-driven region invalidations.
-fn mixed_storm(cache: CacheConfig, balancer: BalancerSpec, mode: ExecMode) -> Experiment {
+fn mixed_storm(cache: CacheConfig, balancer: BalancerSpec) -> Experiment {
     let config = ClusterConfig {
         num_mds: 4,
         heartbeat_interval: SimTime::from_millis(400),
         frag_split_threshold: 300,
         ..Default::default()
     }
-    .with_cache(cache)
-    .with_exec_mode(mode);
+    .with_cache(cache);
     Experiment::new(
         config,
         WorkloadSpec::FlashCrowd {
@@ -95,39 +93,28 @@ fn default_cache_config_is_inert() {
     // nothing.
 }
 
-/// Cache off and cache on, the report is byte-identical across all
-/// three hook engines × {Single, Sharded{2}, Sharded{4}} — the oracle
-/// is the single-threaded bytecode run.
+/// Cache off and cache on, the bytecode engine's report is
+/// byte-identical to the tree interpreter's (the oracle). The engine has
+/// one execution mode; the name predates its siblings' removal.
 #[test]
 fn reports_byte_identical_across_engines_and_exec_modes() {
     for (cache_label, cache) in [("off", CacheConfig::default()), ("on", CacheConfig::on())] {
         let oracle = run_experiment(&mixed_storm(
             cache.clone(),
-            migrating_balancer(HookEngine::Bytecode),
-            ExecMode::Single,
+            migrating_balancer(HookEngine::Tree),
         ));
-        let oracle_repr = format!("{oracle:?}");
         if cache_label == "on" {
             assert!(oracle.cache_hits > 0, "storm produced no cache hits");
         }
-        for engine in [HookEngine::Bytecode, HookEngine::Slot, HookEngine::Tree] {
-            for mode in [
-                ExecMode::Single,
-                ExecMode::Sharded { threads: 2 },
-                ExecMode::Sharded { threads: 4 },
-            ] {
-                let run = run_experiment(&mixed_storm(
-                    cache.clone(),
-                    migrating_balancer(engine),
-                    mode,
-                ));
-                assert_eq!(
-                    oracle_repr,
-                    format!("{run:?}"),
-                    "cache {cache_label}: {engine:?}/{mode:?} diverged from the oracle"
-                );
-            }
-        }
+        let run = run_experiment(&mixed_storm(
+            cache.clone(),
+            migrating_balancer(HookEngine::Bytecode),
+        ));
+        assert_eq!(
+            format!("{oracle:?}"),
+            format!("{run:?}"),
+            "cache {cache_label}: bytecode diverged from the tree oracle"
+        );
     }
 }
 
@@ -137,11 +124,7 @@ fn reports_byte_identical_across_engines_and_exec_modes() {
 /// served from a region a migration already invalidated.
 #[test]
 fn migrations_mid_storm_serve_no_stale_reads() {
-    let spec = mixed_storm(
-        CacheConfig::on(),
-        migrating_balancer(HookEngine::Bytecode),
-        ExecMode::Single,
-    );
+    let spec = mixed_storm(CacheConfig::on(), migrating_balancer(HookEngine::Bytecode));
     let (report, trace) = run_experiment_traced(&spec, TraceLevel::Full);
     // The run must actually exercise the dangerous interleaving…
     assert!(

@@ -165,7 +165,7 @@ fn every_policy_md_fence_is_checked() {
 }
 
 /// Every runnable POLICY.md snippet produces bit-identical results on
-/// all three hook engines (tree walker, slot VM, bytecode VM): same
+/// both hook engines (tree walker, bytecode VM): same
 /// metaload (`f64::to_bits`), same decision, same targets — or the same
 /// error. This is the documentation-level arm of the engine-equivalence
 /// guarantee POLICY.md states.
@@ -223,7 +223,7 @@ fn every_policy_md_snippet_agrees_across_engines() {
         }
         let at = format!("POLICY.md:{} (`{}`)", fence.line, fence.tag);
         let policy = build(&fence.tag, &fence.body).unwrap_or_else(|e| panic!("{at}: {e}"));
-        let runs: Vec<_> = [HookEngine::Tree, HookEngine::Slot, HookEngine::Bytecode]
+        let runs: Vec<_> = [HookEngine::Tree, HookEngine::Bytecode]
             .into_iter()
             .map(|e| {
                 let rt = MantleRuntime::new(policy.clone()).with_engine(e);

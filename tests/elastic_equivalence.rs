@@ -4,9 +4,8 @@
 //! on join, drains on leave) ride the coordinator's exclusive heartbeat
 //! steps, so they must be *behaviorally invisible* to everything that is
 //! supposed to be deterministic: for a fixed seed, an elastic diurnal
-//! run must produce a byte-identical [`RunReport`] under every hook
-//! engine (tree-walking interpreter, slot VM, bytecode VM) and every
-//! execution mode (single-threaded oracle, 2- and 4-shard parallel).
+//! run must produce a byte-identical [`RunReport`] under both hook
+//! engines (tree-walking interpreter, bytecode VM).
 //!
 //! The inert direction is pinned too: with `elastic.enabled == false`
 //! (the default) a policy set that *carries* a `howmany` hook must
@@ -21,7 +20,7 @@ use mantle::core::elastic::{diurnal_experiment, GROW_THRESHOLD, POOL, SHRINK_THR
 use mantle::core::policies;
 use mantle::core::repro::ReproOpts;
 use mantle::core::BalancerSpec;
-use mantle::mds::{ExecMode, HookEngine};
+use mantle::mds::HookEngine;
 use mantle::policy::env::PolicySet;
 use mantle::prelude::*;
 
@@ -37,45 +36,37 @@ fn elastic_cfg() -> ElasticConfig {
     }
 }
 
-/// The quick diurnal elastic spec with an explicit hook engine and exec
-/// mode. The spec is the same one the `elastic --smoke` gate scores, so
-/// the matrix below exercises real joins, re-homes, and drains — not a
-/// cluster that happens to stay put.
-fn elastic_spec(engine: HookEngine, mode: ExecMode) -> Experiment {
+/// The quick diurnal elastic spec with an explicit hook engine. The spec
+/// is the same one the `elastic --smoke` gate scores, so the comparison
+/// below exercises real joins, re-homes, and drains — not a cluster that
+/// happens to stay put.
+fn elastic_spec(engine: HookEngine) -> Experiment {
     let mut spec = diurnal_experiment(ReproOpts::QUICK, POOL, elastic_cfg(), 1, SEED);
     spec.balancer = BalancerSpec::mantle_with_engine(
         "elastic-scaler",
         policies::elastic_scaler_membership_only(GROW_THRESHOLD, SHRINK_THRESHOLD).unwrap(),
         engine,
     );
-    spec.config = spec.config.with_exec_mode(mode);
     spec
 }
 
+/// The engine has one execution mode; the name predates the removal of
+/// the others.
 #[test]
 fn elastic_reports_identical_across_engines_and_exec_modes() {
-    let oracle = run_experiment(&elastic_spec(HookEngine::Tree, ExecMode::Single));
+    let oracle = run_experiment(&elastic_spec(HookEngine::Tree));
     assert!(
         oracle.joins >= 1 && oracle.leaves >= 1,
-        "vacuous matrix: the oracle run never scaled ({} joins, {} leaves)",
+        "vacuous comparison: the oracle run never scaled ({} joins, {} leaves)",
         oracle.joins,
         oracle.leaves
     );
-    let oracle_repr = format!("{oracle:?}");
-    for engine in [HookEngine::Tree, HookEngine::Slot, HookEngine::Bytecode] {
-        for mode in [
-            ExecMode::Single,
-            ExecMode::Sharded { threads: 2 },
-            ExecMode::Sharded { threads: 4 },
-        ] {
-            let report = run_experiment(&elastic_spec(engine, mode));
-            assert_eq!(
-                oracle_repr,
-                format!("{report:?}"),
-                "{engine:?}/{mode:?} diverged from the tree/single oracle"
-            );
-        }
-    }
+    let report = run_experiment(&elastic_spec(HookEngine::Bytecode));
+    assert_eq!(
+        format!("{oracle:?}"),
+        format!("{report:?}"),
+        "bytecode diverged from the tree oracle"
+    );
 }
 
 #[test]
@@ -83,7 +74,7 @@ fn inert_default_matches_a_hookless_policy_byte_for_byte() {
     // Same cluster, same seed, same `where` script; the only difference
     // is whether the policy set carries a `howmany` hook. With the
     // default (disabled) elastic config the hook must never run, so the
-    // reports must be byte-identical — in both exec modes.
+    // reports must be byte-identical.
     let hookless = PolicySet::from_combined(
         policies::MIXED_METALOAD,
         policies::ALL_MDSLOAD,
@@ -91,23 +82,19 @@ fn inert_default_matches_a_hookless_policy_byte_for_byte() {
         &["half"],
     )
     .unwrap();
-    for mode in [ExecMode::Single, ExecMode::Sharded { threads: 2 }] {
-        let mut with_hook =
-            diurnal_experiment(ReproOpts::QUICK, 2, ElasticConfig::default(), 2, SEED);
-        with_hook.config = with_hook.config.with_exec_mode(mode);
-        let mut without_hook = with_hook.clone();
-        // Same display name so the only possible report difference is
-        // behavioral, not the label.
-        without_hook.balancer = BalancerSpec::mantle("elastic-scaler", hookless.clone());
+    let with_hook = diurnal_experiment(ReproOpts::QUICK, 2, ElasticConfig::default(), 2, SEED);
+    let mut without_hook = with_hook.clone();
+    // Same display name so the only possible report difference is
+    // behavioral, not the label.
+    without_hook.balancer = BalancerSpec::mantle("elastic-scaler", hookless);
 
-        let a = run_experiment(&with_hook);
-        let b = run_experiment(&without_hook);
-        assert_eq!(a.joins + a.leaves, 0, "inert config must never scale");
-        assert_eq!(a.membership_epoch, 0);
-        assert_eq!(
-            format!("{a:?}"),
-            format!("{b:?}"),
-            "{mode:?}: a dormant howmany hook changed the report"
-        );
-    }
+    let a = run_experiment(&with_hook);
+    let b = run_experiment(&without_hook);
+    assert_eq!(a.joins + a.leaves, 0, "inert config must never scale");
+    assert_eq!(a.membership_epoch, 0);
+    assert_eq!(
+        format!("{a:?}"),
+        format!("{b:?}"),
+        "a dormant howmany hook changed the report"
+    );
 }

@@ -234,9 +234,10 @@ return chosen
 
 #[test]
 fn slot_and_tree_engines_produce_identical_reports() {
-    // The slot-compiled hook engine is pinned byte-identical to the
-    // tree-walking interpreter: same seed, same policy → the full
-    // RunReport (every float, every time series) must match exactly.
+    // The default hook engine (bytecode; the test name predates it) is
+    // pinned byte-identical to the tree-walking interpreter: same seed,
+    // same policy → the full RunReport (every float, every time series)
+    // must match exactly.
     for (name, policy) in [
         ("greedy-spill", policies::greedy_spill().unwrap()),
         ("fill-and-spill", policies::fill_and_spill(0.25).unwrap()),

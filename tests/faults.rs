@@ -178,8 +178,8 @@ fn fault_runs_are_deterministic_for_a_fixed_seed() {
 
 #[test]
 fn fault_runs_are_identical_across_policy_engines() {
-    // The slot-compiled hook engine and the legacy tree-walking
-    // interpreter must agree bit-for-bit even while faults are firing.
+    // The default bytecode hook engine and the tree-walking interpreter
+    // must agree bit-for-bit even while faults are firing.
     let fast = run_experiment(&degraded_spec(BalancerSpec::mantle(
         "adaptable",
         policies::adaptable().unwrap(),

@@ -9,8 +9,8 @@ use mantle::mds::{select_best, DirfragSelector};
 use mantle::namespace::{IndexMode, Namespace, NamespaceStats, NodeId, NsConfig, OpKind};
 use mantle::policy::env::{BalancerInputs, MantleRuntime, MdsMetrics, PolicySet};
 use mantle::policy::{parse_script, script_to_source, Interpreter, StepBudget, Value};
-use mantle::policy::{BytecodeProgram, BytecodeVm, SlotProgram, SlotVm};
-use mantle::sim::{DecayCounter, EventQueue, OnlineStats, SchedulerKind, SimRng, SimTime, Summary};
+use mantle::policy::{BytecodeProgram, BytecodeVm, SlotProgram};
+use mantle::sim::{DecayCounter, EventQueue, OnlineStats, SimRng, SimTime, Summary};
 
 /// Per-test RNG: independent stream per property, fixed master seed.
 fn cases_rng(label: &str) -> SimRng {
@@ -51,17 +51,29 @@ fn event_queue_pops_in_nondecreasing_time() {
     }
 }
 
-/// Differential property for the scheduler backends: a randomized
-/// interleaving of pushes, pops, and pop-and-reschedule steps produces
-/// the exact same `(time, payload)` stream on the heap and the wheel —
-/// including same-instant FIFO ties and far-future events that overflow
-/// the wheel's 2^36 µs span.
+/// Model check for the event queue: a randomized interleaving of pushes,
+/// pops, and pop-and-reschedule steps produces the exact `(time, payload)`
+/// stream of a reference model that keeps every pending event sorted on
+/// `(time, insertion order)` — including same-instant FIFO ties and
+/// far-future events.
 #[test]
-fn heap_and_wheel_pop_identically_under_random_interleavings() {
+fn event_queue_matches_a_sorted_reference_under_random_interleavings() {
+    use std::collections::BTreeMap;
+
     let mut rng = cases_rng("scheduler-differential");
     for case in 0..48 {
-        let mut heap = EventQueue::with_scheduler(SchedulerKind::Heap);
-        let mut wheel = EventQueue::with_scheduler(SchedulerKind::Wheel);
+        let mut q = EventQueue::new();
+        // (time, insertion seq) -> payload; the first entry pops next.
+        let mut model: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
+        let mut seq = 0u64;
+        let mut push = |q: &mut EventQueue<u64>, model: &mut BTreeMap<_, _>, at, id| {
+            q.schedule_at(at, id);
+            model.insert((at, seq), id);
+            seq += 1;
+        };
+        let pop_model = |model: &mut BTreeMap<(SimTime, u64), u64>| {
+            model.pop_first().map(|((at, _), id)| (at, id))
+        };
         let mut next_id = 0u64;
         let steps = rng.range_inclusive(1, 400);
         for step in 0..steps {
@@ -73,41 +85,38 @@ fn heap_and_wheel_pop_identically_under_random_interleavings() {
                             0 => 0,                              // now
                             1..=4 => rng.below(500) * 10,        // sub-5ms, coarse
                             5 | 6 => rng.below(30_000_000),      // ≤ 30 s
-                            _ => (1 << 37) + rng.below(1 << 20), // overflow range
+                            _ => (1 << 37) + rng.below(1 << 20), // far future
                         };
-                        let at = heap.now() + SimTime::from_micros(delay);
-                        heap.schedule_at(at, next_id);
-                        wheel.schedule_at(at, next_id);
+                        let at = q.now() + SimTime::from_micros(delay);
+                        push(&mut q, &mut model, at, next_id);
                         next_id += 1;
                     }
                 }
                 // Pop.
                 2 => {
-                    assert_eq!(heap.pop(), wheel.pop(), "case {case} step {step}");
-                    assert_eq!(heap.now(), wheel.now(), "case {case} step {step}");
+                    assert_eq!(q.pop(), pop_model(&mut model), "case {case} step {step}");
                 }
                 // Pop and reschedule the payload at a fresh delay (the
                 // retry/heartbeat pattern).
                 _ => {
-                    let (a, b) = (heap.pop(), wheel.pop());
+                    let (a, b) = (q.pop(), pop_model(&mut model));
                     assert_eq!(a, b, "case {case} step {step}");
                     if let Some((_, id)) = a {
-                        let delay = SimTime::from_micros(rng.below(5_000_000));
-                        heap.schedule_in(delay, id);
-                        wheel.schedule_in(delay, id);
+                        let at = q.now() + SimTime::from_micros(rng.below(5_000_000));
+                        push(&mut q, &mut model, at, id);
                     }
                 }
             }
-            assert_eq!(heap.len(), wheel.len(), "case {case} step {step}");
+            assert_eq!(q.len(), model.len(), "case {case} step {step}");
             assert_eq!(
-                heap.peek_time(),
-                wheel.peek_time(),
+                q.peek_time(),
+                model.keys().next().map(|&(at, _)| at),
                 "case {case} step {step}"
             );
         }
         // Drain fully; order must match to the last event.
         loop {
-            let (a, b) = (heap.pop(), wheel.pop());
+            let (a, b) = (q.pop(), pop_model(&mut model));
             assert_eq!(a, b, "case {case}: drain divergence");
             if a.is_none() {
                 break;
@@ -607,7 +616,7 @@ fn budget_always_terminates_loops() {
 }
 
 // ---------------------------------------------------------------------------
-// Tree-walking ≡ slot-compiled ≡ bytecode evaluation
+// Tree-walking ≡ bytecode evaluation
 // ---------------------------------------------------------------------------
 
 /// Generate a random expression over globals `a`, `b`, `c` mixing
@@ -637,10 +646,9 @@ fn random_expr(rng: &mut SimRng, depth: u32) -> String {
     }
 }
 
-/// Run a script through all three engines (tree walker, slot VM,
-/// bytecode VM) with identical globals and budget; results (success
-/// value of every global, steps consumed, or the error) must be
-/// identical — numbers bit-for-bit.
+/// Run a script through both engines (tree walker, bytecode VM) with
+/// identical globals and budget; results (success value of every global,
+/// steps consumed, or the error) must be identical — numbers bit-for-bit.
 fn assert_engines_agree(src: &str, globals: &[(&str, f64)], case: usize) {
     let script = parse_script(src).unwrap_or_else(|e| panic!("case {case}: parse {src}: {e}"));
     let budget = StepBudget(100_000);
@@ -652,49 +660,36 @@ fn assert_engines_agree(src: &str, globals: &[(&str, f64)], case: usize) {
     let tree_result = tree.run(&script);
 
     let prog = SlotProgram::compile(&script);
-    let mut vm = SlotVm::new(&prog, budget);
     let bc = BytecodeProgram::compile(&prog);
     let mut bvm = BytecodeVm::new(&bc, budget);
     for &(name, v) in globals {
         if let Some(slot) = prog.global_slot(name) {
-            vm.set_global(slot, Value::Number(v));
             bvm.set_global(slot, Value::Number(v));
         }
     }
-    let vm_result = vm.run(&prog);
     let bvm_result = bvm.run(&bc);
 
-    match (&tree_result, &vm_result, &bvm_result) {
-        (Ok(_), Ok(_), Ok(_)) => {
+    match (&tree_result, &bvm_result) {
+        (Ok(_), Ok(_)) => {
             for (slot, name) in prog.global_names().iter().enumerate() {
                 let t = tree.get_global(name);
-                for (engine, v) in [
-                    ("slots", vm.get_global(slot)),
-                    ("bytecode", bvm.get_global(slot)),
-                ] {
-                    let same = match (&t, v) {
-                        (Value::Number(x), Value::Number(y)) => x.to_bits() == y.to_bits(),
-                        (t, v) => t.lua_eq(v),
-                    };
-                    assert!(
-                        same,
-                        "case {case}: global {name} diverged on {src}: tree={t:?} {engine}={v:?}"
-                    );
-                }
+                let v = bvm.get_global(slot);
+                let same = match (&t, v) {
+                    (Value::Number(x), Value::Number(y)) => x.to_bits() == y.to_bits(),
+                    (t, v) => t.lua_eq(v),
+                };
+                assert!(
+                    same,
+                    "case {case}: global {name} diverged on {src}: tree={t:?} bytecode={v:?}"
+                );
             }
-            assert_eq!(
-                tree.steps_used(),
-                vm.steps_used(),
-                "case {case}: tree/slot step counts diverged on {src}"
-            );
             assert_eq!(
                 tree.steps_used(),
                 bvm.steps_used(),
                 "case {case}: tree/bytecode step counts diverged on {src}"
             );
         }
-        (Err(te), Err(se), Err(be)) => {
-            assert_eq!(te, se, "case {case}: tree/slot errors diverged on {src}");
+        (Err(te), Err(be)) => {
             assert_eq!(
                 te, be,
                 "case {case}: tree/bytecode errors diverged on {src}"
@@ -702,12 +697,12 @@ fn assert_engines_agree(src: &str, globals: &[(&str, f64)], case: usize) {
         }
         _ => panic!(
             "case {case}: engines disagree on whether {src} errors: \
-             tree={tree_result:?} slots={vm_result:?} bytecode={bvm_result:?}"
+             tree={tree_result:?} bytecode={bvm_result:?}"
         ),
     }
 }
 
-/// All three engines agree on random expressions: same values
+/// Both engines agree on random expressions: same values
 /// (bit-identical numbers), same step counts, same errors.
 #[test]
 fn all_engines_agree_on_random_expressions() {
