@@ -50,15 +50,10 @@ fn main() {
             std::process::exit(1);
         }
     };
-    match server.local_addr() {
-        Ok(addr) => {
-            // Scripts (and the CI smoke test) parse this line to find an
-            // ephemeral port, so flush it out before serving.
-            println!("listening {addr}");
-            let _ = std::io::stdout().flush();
-        }
-        Err(e) => eprintln!("mantled: local_addr: {e}"),
-    }
+    // Scripts (and the CI smoke test) parse this line to find an
+    // ephemeral port, so flush it out before serving.
+    println!("listening {}", server.local_addr());
+    let _ = std::io::stdout().flush();
     let report = server.run();
     println!("{}", report_json(&report));
 }

@@ -3,11 +3,12 @@
 //! the hot-swap pipeline (parse → validate → epoch → install).
 
 use std::sync::mpsc::{channel, Receiver};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use mantle_core::policies;
 use mantle_core::service::LIVE_POLL;
-use mantle_mds::service::LiveService;
+use mantle_mds::service::{LiveService, ServiceSender};
 use mantle_mds::{Cluster, ClusterConfig, HookEngine, MantleBalancer, RunReport, ServiceHandle};
 use mantle_policy::env::PolicySet;
 use mantle_policy::install::{prepare, DecisionSource, PolicyCell, PolicySource};
@@ -25,6 +26,10 @@ pub const PRESET_NAMES: &[&str] = &[
     "adaptable-conservative",
     "cephfs-original",
 ];
+
+/// Stack of the engine and connection threads: the 8 MiB of a main
+/// thread, which the parser's 200-level nesting bound leaves wide margin.
+pub(crate) const THREAD_STACK: usize = 8 << 20;
 
 /// Resolve a preset name to its compiled policy.
 pub fn preset(name: &str) -> Option<PolicySet> {
@@ -52,14 +57,14 @@ pub struct Engine {
     /// Live command/event handle into the engine thread.
     pub handle: ServiceHandle,
     /// The currently-published policy (epoch 0 is the boot preset).
-    pub cell: PolicyCell,
+    pub cell: Arc<PolicyCell>,
     report_rx: Receiver<RunReport>,
-    thread: Option<JoinHandle<()>>,
+    thread: JoinHandle<()>,
 }
 
 impl Engine {
     /// Boot the cluster on a dedicated thread. The engine runs until
-    /// [`ServiceHandle::shutdown`] closes the live queues (or the
+    /// [`ServiceSender::shutdown`] closes the live queues (or the
     /// safety-net duration elapses), then delivers its final
     /// [`RunReport`] to [`Engine::finish`].
     pub fn start(cfg: &DaemonConfig) -> Result<Engine, String> {
@@ -72,7 +77,7 @@ impl Engine {
         let (mut svc, handle) = LiveService::new(cfg.clock);
         let workload = svc.workload(cfg.sessions, LIVE_POLL);
         let name = cfg.policy.clone();
-        let cell = PolicyCell::new(&name, set.clone());
+        let cell = Arc::new(PolicyCell::new(&name, set.clone()));
         let mut ccfg = ClusterConfig::default()
             .with_mds(cfg.mds)
             .with_seed(cfg.seed);
@@ -83,6 +88,7 @@ impl Engine {
         // cluster is built inside its thread; only `Send` inputs cross.
         let thread = std::thread::Builder::new()
             .name("mantled-engine".into())
+            .stack_size(THREAD_STACK)
             .spawn(move || {
                 let cluster = Cluster::new(ccfg, workload, |_| {
                     Box::new(
@@ -99,43 +105,33 @@ impl Engine {
             handle,
             cell,
             report_rx,
-            thread: Some(thread),
+            thread,
         })
     }
 
-    /// Run the full hot-swap pipeline for a policy submitted over the
-    /// admin socket: compile + validate (`prepare`), publish to the cell
-    /// (assigning the next epoch), and hand the set to the engine, which
-    /// installs it on every MDS in the coordinator's next exclusive
-    /// step. Returns the assigned epoch and the engine's ack channel; a
-    /// rejected policy returns `Err` and publishes nothing.
-    pub fn swap(
-        &self,
-        src: &PolicySource,
-    ) -> Result<(u64, Receiver<Result<SimTime, String>>), String> {
-        let set = prepare(src).map_err(|e| e.to_string())?;
-        let epoch = self.cell.install(&src.name, set.clone());
-        let ack = self
-            .handle
-            .install_policy(&src.name, epoch, set, HookEngine::default());
-        Ok((epoch, ack))
-    }
-
-    /// Whether the engine thread has already delivered its report (i.e.
-    /// the run ended), without consuming it.
-    pub fn finished(&self) -> bool {
-        self.thread.as_ref().is_none_or(|t| t.is_finished())
-    }
-
-    /// Join the engine thread and return its final report. Call after
-    /// [`ServiceHandle::shutdown`]; returns `None` only if the engine
-    /// thread panicked.
-    pub fn finish(mut self) -> Option<RunReport> {
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    /// Join the engine thread (after a shutdown, or once the event stream
+    /// ends) and return its final report; `None` if the thread panicked.
+    pub fn finish(self) -> Option<RunReport> {
+        let _ = self.thread.join();
         self.report_rx.try_recv().ok()
     }
+}
+
+/// Run the full hot-swap pipeline for a policy submitted over the admin
+/// socket: compile + validate (`prepare`), publish to `cell` (assigning
+/// the next epoch), and hand the set to the engine, which installs it on
+/// every MDS in the coordinator's next exclusive step. Returns the epoch
+/// and the engine's ack channel; a rejected policy returns `Err` and
+/// publishes nothing. Run one swap at a time, to install in epoch order.
+pub fn swap(
+    cell: &PolicyCell,
+    service: &ServiceSender,
+    src: &PolicySource,
+) -> Result<(u64, Receiver<Result<SimTime, String>>), String> {
+    let set = prepare(src).map_err(|e| e.to_string())?;
+    let epoch = cell.install(&src.name, set.clone());
+    let ack = service.install_policy(&src.name, epoch, set, HookEngine::default());
+    Ok((epoch, ack))
 }
 
 /// Parse the `policy` object of a `policy-swap` admin request into a
@@ -266,7 +262,8 @@ mod tests {
             selectors: vec!["half".into()],
             howmany: None,
         };
-        let (epoch, ack) = engine.swap(&src).expect("valid policy swaps");
+        let (epoch, ack) =
+            swap(&engine.cell, &engine.handle.sender(), &src).expect("valid policy swaps");
         assert_eq!(epoch, 1);
         let at = ack
             .recv_timeout(std::time::Duration::from_secs(30))
@@ -297,7 +294,7 @@ mod tests {
             selectors: vec!["half".into()],
             howmany: None,
         };
-        assert!(engine.swap(&bad).is_err());
+        assert!(swap(&engine.cell, &engine.handle.sender(), &bad).is_err());
         assert_eq!(engine.cell.epoch(), 0, "rejected policy must not publish");
         engine.handle.shutdown();
         engine.finish();

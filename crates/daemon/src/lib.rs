@@ -16,8 +16,9 @@
 //! * [`engine`] — boots [`Cluster::serve`](mantle_mds::Cluster::serve)
 //!   on its own thread and owns the
 //!   [`PolicyCell`](mantle_policy::install::PolicyCell) swap pipeline;
-//! * [`server`] — the nonblocking `std::net` reactor tying sockets to
-//!   the engine's command inbox and event stream;
+//! * [`server`] — blocking `std::net` sockets, a reader and a writer
+//!   thread per connection, feeding the engine's command inbox and
+//!   routing its event stream;
 //! * [`client`] — a blocking protocol client (`mantlectl`, smoke tests).
 //!
 //! Determinism is preserved across the daemon boundary: with

@@ -57,56 +57,56 @@ pub fn encode_frame(msg: &Json) -> Vec<u8> {
     out
 }
 
-/// Pop one complete frame off the front of a receive buffer, if present.
-///
-/// This is the nonblocking-reactor side of the codec: the server appends
-/// whatever `read` returned to `buf` and calls this in a loop. Returns
-/// `Ok(None)` while the buffer holds only a partial frame.
+/// Pop one complete frame off the front of a receive buffer, if present
+/// (`Ok(None)` while the buffer holds only a partial frame). This is the
+/// codec for bytes already in hand, such as a captured stream.
 pub fn decode_frame(buf: &mut Vec<u8>) -> Result<Option<Json>, WireError> {
-    if buf.len() < 4 {
+    let Some(prefix) = buf.first_chunk::<4>() else {
         return Ok(None);
-    }
-    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if len > MAX_FRAME {
-        return Err(WireError::Oversized(len));
-    }
+    };
+    let len = frame_len(*prefix)?;
     if buf.len() < 4 + len {
         return Ok(None);
     }
     let payload: Vec<u8> = buf.drain(..4 + len).skip(4).collect();
-    let text = std::str::from_utf8(&payload).map_err(|_| WireError::NotUtf8)?;
-    parse(text).map(Some).map_err(WireError::BadJson)
+    decode_payload(&payload).map(Some)
 }
 
-/// Blocking frame read (client side). Returns `Ok(None)` on clean EOF at
-/// a frame boundary.
+/// Blocking frame read, for the daemon's connection threads and the
+/// client. `Ok(None)` is a clean EOF at a frame boundary; a frame that
+/// breaks the protocol is an [`io::ErrorKind::InvalidData`] error
+/// wrapping the [`WireError`]. The payload buffer grows as bytes arrive,
+/// never to the announced length up front: a peer that announces
+/// [`MAX_FRAME`] and sends little costs the daemon little memory.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Json>> {
-    let mut len_bytes = [0u8; 4];
-    match r.read_exact(&mut len_bytes) {
+    let mut prefix = [0u8; 4];
+    match r.read_exact(&mut prefix) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            WireError::Oversized(len).to_string(),
-        ));
+    let invalid = |e: WireError| io::Error::new(io::ErrorKind::InvalidData, e);
+    let len = frame_len(prefix).map_err(invalid)?;
+    let mut payload = Vec::new();
+    if r.take(len as u64).read_to_end(&mut payload)? < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let text = std::str::from_utf8(&payload)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, WireError::NotUtf8.to_string()))?;
-    parse(text).map(Some).map_err(|e| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            WireError::BadJson(e).to_string(),
-        )
-    })
+    decode_payload(&payload).map(Some).map_err(invalid)
 }
 
-/// Blocking frame write (client side).
+fn frame_len(prefix: [u8; 4]) -> Result<usize, WireError> {
+    let len = u32::from_be_bytes(prefix) as usize;
+    (len <= MAX_FRAME)
+        .then_some(len)
+        .ok_or(WireError::Oversized(len))
+}
+
+fn decode_payload(payload: &[u8]) -> Result<Json, WireError> {
+    let text = std::str::from_utf8(payload).map_err(|_| WireError::NotUtf8)?;
+    parse(text).map_err(WireError::BadJson)
+}
+
+/// Blocking frame write.
 pub fn write_frame(w: &mut impl Write, msg: &Json) -> io::Result<()> {
     w.write_all(&encode_frame(msg))?;
     w.flush()
@@ -241,6 +241,45 @@ mod tests {
         let mut bad = vec![0, 0, 0, 2];
         bad.extend_from_slice(b"{x");
         assert!(matches!(decode_frame(&mut bad), Err(WireError::BadJson(_))));
+    }
+
+    #[test]
+    fn read_frame_buffers_only_what_arrives() {
+        /// Announces a maximal frame, then trickles a few bytes and ends,
+        /// recording the largest buffer `read_frame` asked it to fill.
+        struct Trickle {
+            bytes: Vec<u8>,
+            largest_ask: usize,
+        }
+        impl Read for Trickle {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.largest_ask = self.largest_ask.max(buf.len());
+                let n = buf.len().min(self.bytes.len()).min(7);
+                buf[..n].copy_from_slice(&self.bytes[..n]);
+                self.bytes.drain(..n);
+                Ok(n)
+            }
+        }
+        let mut peer = Trickle {
+            bytes: (MAX_FRAME as u32).to_be_bytes().to_vec(),
+            largest_ask: 0,
+        };
+        peer.bytes.extend_from_slice(b"{\"id\":1");
+        let err = read_frame(&mut peer).expect_err("truncated frame");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            peer.largest_ask < 64 << 10,
+            "asked for {} bytes after 8 arrived",
+            peer.largest_ask
+        );
+
+        let mut oversized = io::Cursor::new(((MAX_FRAME + 1) as u32).to_be_bytes());
+        let err = read_frame(&mut oversized).expect_err("oversized frame");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            WireError::Oversized(MAX_FRAME + 1).to_string()
+        );
     }
 
     #[test]

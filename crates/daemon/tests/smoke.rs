@@ -273,3 +273,237 @@ fn deeply_nested_policy_is_rejected_not_fatal() {
     let (success, _) = daemon.finish();
     assert!(success);
 }
+
+/// Send one frame without waiting for a reply.
+fn send_raw(stream: &mut TcpStream, msg: &Json) {
+    mantle_daemon::wire::write_frame(stream, msg).expect("frame sent");
+}
+
+fn op_frame(id: u64, op: &str, path: &str) -> Json {
+    Json::obj(vec![
+        ("type", Json::str("op")),
+        ("id", Json::num(id as f64)),
+        ("op", Json::str(op)),
+        ("path", Json::str(path)),
+    ])
+}
+
+fn hello(role: &str) -> Json {
+    Json::obj(vec![
+        ("type", Json::str("hello")),
+        ("role", Json::str(role)),
+        ("proto", Json::num(1.0)),
+    ])
+}
+
+/// Read frames until the peer closes; a reset counts as closed.
+fn drain_to_eof(stream: &mut TcpStream) -> Vec<Json> {
+    let mut frames = Vec::new();
+    while let Ok(Some(frame)) = mantle_daemon::wire::read_frame(stream) {
+        frames.push(frame);
+    }
+    frames
+}
+
+/// A policy whose decision nests a table 40 000 levels deep every time
+/// it runs. It passes validation, so the daemon must also survive the
+/// balancer ticks that run it (and free the chain) on the engine thread.
+#[test]
+fn deeply_nested_runtime_table_is_survived() {
+    let daemon = Daemon::spawn(&["--sessions=1", "--mds=2", "--clock=sim"]);
+    let mut admin = MantleClient::connect(&daemon.addr, "admin").expect("admin connects");
+    let mut bundle = swap_bundle();
+    if let Json::Obj(members) = &mut bundle {
+        members.retain(|(k, _)| k != "when" && k != "where");
+        members.push((
+            "decision".into(),
+            Json::str("local t = {} for k = 1, 40000 do t = {t} end targets[1] = 0"),
+        ));
+    }
+    let swapped = admin
+        .admin("policy-swap", vec![("policy", bundle)])
+        .expect("swap round-trips");
+    assert_eq!(swapped.get_str("type"), Some("swapped"), "swap: {swapped}");
+
+    // Under --clock=sim the next balancer tick runs within milliseconds.
+    std::thread::sleep(std::time::Duration::from_millis(1500));
+    let mut client = MantleClient::connect(&daemon.addr, "client").expect("client connects");
+    let reply = client.op("create", "/nested/after").expect("op answered");
+    assert_eq!(reply.get_str("status"), Some("ok"), "reply: {reply}");
+    let status = admin.admin("status", vec![]).expect("status answered");
+    assert_eq!(status.get_u64("epoch"), Some(1));
+
+    let ok = admin.admin("shutdown", vec![]).expect("shutdown");
+    assert_eq!(ok.get_str("type"), Some("ok"));
+    let (success, _) = daemon.finish();
+    assert!(success);
+}
+
+/// A client that disconnects with ops in flight frees its slot; the
+/// late completions are not delivered to the next holder of that slot,
+/// whose first reply carries its own `id`.
+#[test]
+fn reused_slot_gets_only_its_own_replies() {
+    let daemon = Daemon::spawn(&["--sessions=1", "--mds=2", "--clock=wall"]);
+    let mut first = TcpStream::connect(&daemon.addr).expect("first connects");
+    send_raw(&mut first, &hello("client"));
+    let welcome = mantle_daemon::wire::read_frame(&mut first)
+        .expect("welcome readable")
+        .expect("welcome");
+    assert_eq!(welcome.get_u64("slot"), Some(0));
+    for id in 100..105 {
+        send_raw(&mut first, &op_frame(id, "create", "/reuse/old"));
+    }
+    drop(first);
+
+    // The slot frees once the daemon has seen the disconnect.
+    let mut second = None;
+    for _ in 0..500 {
+        let mut stream = TcpStream::connect(&daemon.addr).expect("second connects");
+        send_raw(&mut stream, &hello("client"));
+        let reply = mantle_daemon::wire::read_frame(&mut stream)
+            .expect("reply readable")
+            .expect("reply");
+        if reply.get_str("type") == Some("welcome") {
+            assert_eq!(reply.get_u64("slot"), Some(0));
+            second = Some(stream);
+            break;
+        }
+        assert_eq!(reply.get_str("code"), Some("no-slot"), "reply: {reply}");
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let mut second = second.expect("the slot was freed");
+    send_raw(&mut second, &op_frame(1, "stat", "/reuse/new"));
+    let reply = mantle_daemon::wire::read_frame(&mut second)
+        .expect("reply readable")
+        .expect("reply");
+    assert_eq!(reply.get_str("type"), Some("reply"), "reply: {reply}");
+    assert_eq!(reply.get_u64("id"), Some(1), "reply: {reply}");
+    assert_eq!(reply.get_str("op"), Some("stat"));
+
+    let mut admin = MantleClient::connect(&daemon.addr, "admin").expect("admin connects");
+    admin.admin("shutdown", vec![]).expect("shutdown");
+    let (success, _) = daemon.finish();
+    assert!(success);
+}
+
+/// Ops sent back to back on one connection, without waiting, are all
+/// answered `ok`, in send order.
+#[test]
+fn pipelined_ops_reply_in_send_order() {
+    let daemon = Daemon::spawn(&["--sessions=1", "--mds=2", "--clock=wall"]);
+    let mut client = MantleClient::connect(&daemon.addr, "client").expect("client connects");
+    let ops = ["create", "stat", "mkdir", "readdir", "setattr"];
+    for (i, op) in ops.iter().enumerate() {
+        client
+            .send(&op_frame(i as u64 + 1, op, "/pipe/dir"))
+            .expect("op sent");
+    }
+    for (i, op) in ops.iter().enumerate() {
+        let reply = client.recv_required().expect("reply");
+        assert_eq!(reply.get_str("status"), Some("ok"), "reply: {reply}");
+        assert_eq!(reply.get_u64("id"), Some(i as u64 + 1), "reply: {reply}");
+        assert_eq!(reply.get_str("op"), Some(*op));
+    }
+
+    let mut admin = MantleClient::connect(&daemon.addr, "admin").expect("admin connects");
+    admin.admin("shutdown", vec![]).expect("shutdown");
+    let (success, _) = daemon.finish();
+    assert!(success);
+}
+
+/// Ops in flight at `shutdown` are answered `ok` before the report; an
+/// op sent during the drain is refused with `shutting-down`.
+#[test]
+fn shutdown_drains_in_flight_ops_and_refuses_new_ones() {
+    let daemon = Daemon::spawn(&["--sessions=1", "--mds=2", "--clock=wall"]);
+    let mut client = MantleClient::connect(&daemon.addr, "client").expect("client connects");
+    let mut admin = MantleClient::connect(&daemon.addr, "admin").expect("admin connects");
+    // Enough queued work (each op takes its modelled latency in real
+    // time) that the drain is still running when the late op arrives.
+    const IN_FLIGHT: u64 = 200;
+    for id in 1..=IN_FLIGHT {
+        client
+            .send(&op_frame(id, "create", "/drain/dir"))
+            .expect("op sent");
+    }
+    // Shut down only once the daemon has taken every op.
+    let mut submitted = 0;
+    for _ in 0..1000 {
+        let status = admin.admin("status", vec![]).expect("status");
+        submitted = status.get_u64("ops_submitted").expect("ops_submitted");
+        if submitted == IN_FLIGHT {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    assert_eq!(submitted, IN_FLIGHT);
+    let ok = admin.admin("shutdown", vec![]).expect("shutdown");
+    assert_eq!(ok.get_str("type"), Some("ok"));
+    let late = IN_FLIGHT + 1;
+    client
+        .send(&op_frame(late, "create", "/drain/late"))
+        .expect("late op sent");
+
+    let mut answered = Vec::new();
+    let mut refused = false;
+    while answered.len() < IN_FLIGHT as usize || !refused {
+        let frame = client.recv_required().expect("every op is answered");
+        if frame.get_u64("id") == Some(late) {
+            assert_eq!(frame.get_str("code"), Some("shutting-down"), "{frame}");
+            refused = true;
+        } else {
+            assert_eq!(frame.get_str("status"), Some("ok"), "{frame}");
+            answered.push(frame.get_u64("id").expect("reply id"));
+        }
+    }
+    assert_eq!(answered, (1..=IN_FLIGHT).collect::<Vec<_>>());
+
+    let (success, rest) = daemon.finish();
+    assert!(success);
+    let report_line = rest
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .expect("final report printed");
+    let report = mantle_daemon::json::parse(report_line).expect("report is json");
+    assert_eq!(report.get_num("total_ops"), Some(IN_FLIGHT as f64));
+}
+
+/// A `trace` hello is refused when tracing is off, and any frame sent on
+/// a `trace` connection is a protocol error that closes it.
+#[test]
+fn trace_role_is_receive_only() {
+    let off = Daemon::spawn(&["--sessions=1", "--mds=2", "--clock=wall", "--trace=off"]);
+    let mut raw = TcpStream::connect(&off.addr).expect("raw connect");
+    send_raw(&mut raw, &hello("trace"));
+    let frames = drain_to_eof(&mut raw);
+    assert_eq!(frames.len(), 1, "one error, then close: {frames:?}");
+    assert_eq!(frames[0].get_str("code"), Some("bad-hello"));
+    let mut admin = MantleClient::connect(&off.addr, "admin").expect("admin connects");
+    admin.admin("shutdown", vec![]).expect("shutdown");
+    let (success, _) = off.finish();
+    assert!(success);
+
+    let on = Daemon::spawn(&["--sessions=1", "--mds=2", "--clock=wall"]);
+    let mut raw = TcpStream::connect(&on.addr).expect("raw connect");
+    send_raw(&mut raw, &hello("trace"));
+    let welcome = mantle_daemon::wire::read_frame(&mut raw)
+        .expect("welcome readable")
+        .expect("welcome");
+    assert_eq!(welcome.get_str("type"), Some("welcome"), "{welcome}");
+    send_raw(&mut raw, &op_frame(1, "stat", "/trace/dir"));
+    let frames = drain_to_eof(&mut raw);
+    let last = frames.last().expect("an error before the close");
+    assert_eq!(last.get_str("type"), Some("error"), "{last}");
+    assert_eq!(last.get_str("code"), Some("bad-frame"));
+    assert!(
+        frames[..frames.len() - 1]
+            .iter()
+            .all(|f| f.get_str("ev").is_some()),
+        "only trace records precede the error: {frames:?}"
+    );
+    let mut admin = MantleClient::connect(&on.addr, "admin").expect("admin connects");
+    admin.admin("shutdown", vec![]).expect("shutdown");
+    let (success, _) = on.finish();
+    assert!(success);
+}

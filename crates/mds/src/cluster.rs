@@ -465,7 +465,7 @@ impl Cluster {
     /// iteration and streaming trace records and completions after it —
     /// and, under [`ClockMode::Wall`](mantle_sim::ClockMode::Wall), paces event processing so
     /// simulated time tracks wall time. Returns when the service is shut
-    /// down ([`crate::service::ServiceHandle::shutdown`]) and every
+    /// down ([`crate::service::ServiceSender::shutdown`]) and every
     /// client has drained, or when the (scripted) workload finishes.
     ///
     /// With [`ClockMode::Sim`](mantle_sim::ClockMode::Sim), an empty inbox, and a scripted workload
@@ -664,6 +664,14 @@ struct ServicePump {
     clock: mantle_sim::ClockMode,
     wall: mantle_sim::WallClock,
     queues: Option<Arc<crate::service::LiveQueues>>,
+}
+
+impl Drop for ServicePump {
+    /// The run is over (or unwinding): commands submitted from now on
+    /// would never be drained, so the inbox drops them at once.
+    fn drop(&mut self) {
+        self.inbox.close();
+    }
 }
 
 /// Drain the service inbox into the engine, then (wall clock only) sleep

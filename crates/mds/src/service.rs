@@ -31,7 +31,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use mantle_namespace::{MdsId, Namespace, NodeId, OpKind};
 use mantle_policy::env::PolicySet;
@@ -108,15 +108,26 @@ pub struct LiveCompletion {
 pub(crate) struct Inbox {
     pub(crate) queue: Mutex<VecDeque<ServiceCmd>>,
     pub(crate) signal: Condvar,
+    /// Set (under the `queue` lock) once the engine's run has ended.
+    closed: AtomicBool,
 }
 
 impl Inbox {
     fn push(&self, cmd: ServiceCmd) {
-        self.queue
-            .lock()
-            .expect("service inbox never poisoned")
-            .push_back(cmd);
+        let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        // Once closed, drop the command: an install's ack disconnects.
+        if !self.closed.load(Ordering::Relaxed) {
+            queue.push_back(cmd);
+        }
+        drop(queue);
         self.signal.notify_all();
+    }
+
+    /// The run has ended: drop queued commands and refuse later ones.
+    pub(crate) fn close(&self) {
+        let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        self.closed.store(true, Ordering::Relaxed);
+        queue.clear();
     }
 }
 
@@ -212,7 +223,10 @@ impl LiveService {
                 clock,
                 queues: None,
             },
-            ServiceHandle { inbox, events: rx },
+            ServiceHandle {
+                sender: ServiceSender { inbox },
+                events: rx,
+            },
         )
     }
 
@@ -220,7 +234,7 @@ impl LiveService {
     /// slots, each re-polling its queue every `poll` of simulated time
     /// while idle. Pass the result to [`crate::cluster::Cluster::new`].
     /// A service without a live workload (scenario mode) still pumps
-    /// commands and streams events, but [`ServiceHandle::submit_op`] has
+    /// commands and streams events, but [`ServiceSender::submit_op`] has
     /// no queues to land in.
     pub fn workload(&mut self, sessions: usize, poll: SimTime) -> Box<dyn Workload> {
         let q = Arc::new(LiveQueues::new(sessions));
@@ -232,20 +246,41 @@ impl LiveService {
     }
 }
 
-/// The daemon side of a live service: submit ops and installs, receive
-/// the event stream. Cheap to clone for per-connection use; the event
-/// receiver stays with the original handle.
+/// The daemon side of a live service: the event stream, plus (through
+/// `Deref`) the [`ServiceSender`] methods that submit ops and installs.
+/// Hand [`ServiceHandle::sender`] clones to other threads.
 pub struct ServiceHandle {
-    inbox: Arc<Inbox>,
-    /// Trace/completion batches emitted by the engine, in order.
+    sender: ServiceSender,
+    /// Trace/completion batches emitted by the engine, in order. The
+    /// stream ends once the engine has finished its run.
     pub events: Receiver<ServiceEvent>,
 }
 
 impl ServiceHandle {
+    /// A send-only handle for another thread.
+    pub fn sender(&self) -> ServiceSender {
+        self.sender.clone()
+    }
+}
+
+impl std::ops::Deref for ServiceHandle {
+    type Target = ServiceSender;
+
+    fn deref(&self) -> &ServiceSender {
+        &self.sender
+    }
+}
+
+/// The cloneable, send-only half of a [`ServiceHandle`].
+#[derive(Clone)]
+pub struct ServiceSender {
+    inbox: Arc<Inbox>,
+}
+
+impl ServiceSender {
     /// Inject one op for `client`. The engine resolves the path when it
     /// drains the command; completions come back as
-    /// [`ServiceEvent::Completions`] in submission order per client
-    /// (clients are closed-loop: one outstanding op each).
+    /// [`ServiceEvent::Completions`] in submission order per client.
     pub fn submit_op(&self, client: usize, path: impl Into<String>, kind: OpKind) {
         self.inbox.push(ServiceCmd::Op {
             client,
@@ -257,7 +292,8 @@ impl ServiceHandle {
     /// Hot-install `set` (validated by the caller — see
     /// [`mantle_policy::install::prepare`]) on every MDS. Returns a
     /// receiver acked with the simulated install instant once the swap
-    /// has run in the coordinator's exclusive step.
+    /// has run in the coordinator's exclusive step, or disconnected if
+    /// the run ends first.
     pub fn install_policy(
         &self,
         name: impl Into<String>,
@@ -279,54 +315,6 @@ impl ServiceHandle {
     /// Ask the engine to shut down cleanly: live queues close, clients
     /// drain their remaining ops, and the run ends with a normal
     /// [`crate::report::RunReport`].
-    pub fn shutdown(&self) {
-        self.inbox.push(ServiceCmd::Shutdown);
-    }
-
-    /// A sender-only clone for additional connections.
-    pub fn sender(&self) -> ServiceSender {
-        ServiceSender {
-            inbox: Arc::clone(&self.inbox),
-        }
-    }
-}
-
-/// A cloneable, send-only view of a [`ServiceHandle`].
-#[derive(Clone)]
-pub struct ServiceSender {
-    inbox: Arc<Inbox>,
-}
-
-impl ServiceSender {
-    /// See [`ServiceHandle::submit_op`].
-    pub fn submit_op(&self, client: usize, path: impl Into<String>, kind: OpKind) {
-        self.inbox.push(ServiceCmd::Op {
-            client,
-            path: path.into(),
-            kind,
-        });
-    }
-
-    /// See [`ServiceHandle::install_policy`].
-    pub fn install_policy(
-        &self,
-        name: impl Into<String>,
-        epoch: u64,
-        set: PolicySet,
-        engine: HookEngine,
-    ) -> Receiver<Result<SimTime, String>> {
-        let (tx, rx) = channel();
-        self.inbox.push(ServiceCmd::Install {
-            name: name.into(),
-            epoch,
-            set,
-            engine,
-            ack: tx,
-        });
-        rx
-    }
-
-    /// See [`ServiceHandle::shutdown`].
     pub fn shutdown(&self) {
         self.inbox.push(ServiceCmd::Shutdown);
     }

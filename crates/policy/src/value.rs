@@ -274,6 +274,30 @@ impl fmt::Debug for Table {
     }
 }
 
+impl Drop for Table {
+    /// Drop without recursion. A script can nest tables as deep as its
+    /// step budget allows (`t = {t}` in a loop), and the derived drop
+    /// would recurse once per level, overflowing the stack of whichever
+    /// thread releases the chain. Uniquely-owned child tables move onto
+    /// a worklist instead, so each one drops with its children gone.
+    fn drop(&mut self) {
+        fn detach_children(map: &mut HashMap<Key, Value>, pending: &mut Vec<Table>) {
+            for (_, value) in map.drain() {
+                if let Value::Table(child) = value {
+                    if let Ok(child) = Rc::try_unwrap(child) {
+                        pending.push(child.into_inner());
+                    }
+                }
+            }
+        }
+        let mut pending = Vec::new();
+        detach_children(&mut self.map, &mut pending);
+        while let Some(mut table) = pending.pop() {
+            detach_children(&mut table.map, &mut pending);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,6 +365,27 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.to_vec().len(), 2);
         assert_eq!(t.get_int(1).as_number(0).unwrap(), 1.0);
+    }
+
+    #[test]
+    fn deep_table_chains_drop_on_a_default_thread_stack() {
+        // `t = {t}` a million times, released on a spawned thread's
+        // default (2 MiB) stack: a recursive drop would overflow it.
+        std::thread::spawn(|| {
+            let mut t = Value::table(Table::new());
+            for _ in 0..1_000_000 {
+                t = Value::table(Table::from_array([t]));
+            }
+            // A chain that is shared part-way down still frees in full.
+            let Value::Table(outer) = &t else {
+                unreachable!()
+            };
+            let inner = outer.borrow().get_int(1);
+            drop(t);
+            drop(inner);
+        })
+        .join()
+        .expect("dropping the chain does not overflow the stack");
     }
 
     #[test]
