@@ -9,7 +9,7 @@ use std::thread::JoinHandle;
 use mantle_core::policies;
 use mantle_core::service::LIVE_POLL;
 use mantle_mds::service::{LiveService, ServiceSender};
-use mantle_mds::{Cluster, ClusterConfig, HookEngine, MantleBalancer, RunReport, ServiceHandle};
+use mantle_mds::{Cluster, ClusterConfig, MantleBalancer, RunReport, ServiceHandle};
 use mantle_policy::env::PolicySet;
 use mantle_policy::install::{prepare, DecisionSource, PolicyCell, PolicySource};
 use mantle_sim::SimTime;
@@ -93,8 +93,7 @@ impl Engine {
                 let cluster = Cluster::new(ccfg, workload, |_| {
                     Box::new(
                         MantleBalancer::new_unvalidated(name.clone(), set.clone())
-                            .expect("preset policy was validated")
-                            .with_engine(HookEngine::default()),
+                            .expect("preset policy was validated"),
                     )
                 });
                 let (report, _timeline) = cluster.serve(svc, trace);
@@ -130,7 +129,7 @@ pub fn swap(
 ) -> Result<(u64, Receiver<Result<SimTime, String>>), String> {
     let set = prepare(src).map_err(|e| e.to_string())?;
     let epoch = cell.install(&src.name, set.clone());
-    let ack = service.install_policy(&src.name, epoch, set, HookEngine::default());
+    let ack = service.install_policy(&src.name, epoch, set);
     Ok((epoch, ack))
 }
 

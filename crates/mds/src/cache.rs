@@ -162,21 +162,6 @@ impl ClientCache {
         stale.len() as u64
     }
 
-    /// Forget every cached dir for which `stale` returns true — the
-    /// original full predicate scan, kept as the differential oracle
-    /// for [`ClientCache::invalidate_region`].
-    pub fn invalidate_matching(&mut self, mut stale: impl FnMut(NodeId) -> bool) {
-        let by_tin = &mut self.by_tin;
-        self.entries.retain(|&d, slot| {
-            if stale(d) {
-                by_tin.remove(&slot.tin);
-                false
-            } else {
-                true
-            }
-        });
-    }
-
     /// Re-resolve every stored label after a namespace renumber.
     fn sync_epoch(&mut self, ns: &Namespace) {
         let epoch = ns.renumbers();
@@ -373,6 +358,23 @@ mod tests {
             watermark,
             root_only: rng.next_u64().is_multiple_of(5),
             until: SimTime::ZERO,
+        }
+    }
+
+    impl ClientCache {
+        /// Forget every cached dir for which `stale` returns true — the
+        /// original full predicate scan, kept as the differential oracle
+        /// for [`ClientCache::invalidate_region`].
+        fn invalidate_matching(&mut self, mut stale: impl FnMut(NodeId) -> bool) {
+            let by_tin = &mut self.by_tin;
+            self.entries.retain(|&d, slot| {
+                if stale(d) {
+                    by_tin.remove(&slot.tin);
+                    false
+                } else {
+                    true
+                }
+            });
         }
     }
 

@@ -80,9 +80,8 @@ enum AdminOp {
         name: String,
         epoch: u64,
         set: mantle_policy::env::PolicySet,
-        engine: mantle_policy::HookEngine,
-        /// Acked with the simulated install instant (live installs).
-        ack: Option<std::sync::mpsc::Sender<Result<SimTime, String>>>,
+        /// Acked with the simulated install instant, or an error.
+        ack: std::sync::mpsc::Sender<Result<SimTime, String>>,
     },
 }
 
@@ -296,7 +295,6 @@ impl Cluster {
         let mut ns = Namespace::new(NsConfig {
             frag_split_threshold: cfg.frag_split_threshold,
             decay_half_life: cfg.decay_half_life,
-            index_mode: cfg.index_mode,
             ..Default::default()
         });
         workload.setup(&mut ns);
@@ -419,32 +417,6 @@ impl Cluster {
         self.co
             .admin_actions
             .push(Some(AdminOp::Ns(Box::new(action))));
-        self.co.globals.schedule_at(at, GlobalEvent::Admin(idx));
-    }
-
-    /// Schedule a hot policy install at a point in virtual time: every
-    /// MDS's balancer is swapped for a fresh [`MantleBalancer`](crate::MantleBalancer) built
-    /// from `set` in the coordinator's exclusive step, exactly as the
-    /// live daemon's admin socket does it. The caller is responsible for
-    /// having validated `set` (see [`mantle_policy::install::prepare`]);
-    /// a policy that fails to compile leaves the old balancers in place
-    /// and counts a policy error.
-    pub fn schedule_policy_install(
-        &mut self,
-        at: SimTime,
-        name: impl Into<String>,
-        epoch: u64,
-        set: mantle_policy::env::PolicySet,
-        engine: mantle_policy::HookEngine,
-    ) {
-        let idx = self.co.admin_actions.len();
-        self.co.admin_actions.push(Some(AdminOp::Swap {
-            name: name.into(),
-            epoch,
-            set,
-            engine,
-            ack: None,
-        }));
         self.co.globals.schedule_at(at, GlobalEvent::Admin(idx));
     }
 
@@ -714,7 +686,6 @@ fn pump_pre(
                     name,
                     epoch,
                     set,
-                    engine,
                     ack,
                 } => {
                     // Queue the swap as a regular admin event at the time
@@ -728,8 +699,7 @@ fn pump_pre(
                         name,
                         epoch,
                         set,
-                        engine,
-                        ack: Some(ack),
+                        ack,
                     }));
                     co.globals.schedule_at(at, GlobalEvent::Admin(idx));
                 }
@@ -911,9 +881,8 @@ fn exclusive_step(
                 name,
                 epoch,
                 set,
-                engine,
                 ack,
-            }) => install_policy(co, name, epoch, set, engine, ack, now),
+            }) => install_policy(co, name, epoch, set, ack, now),
             None => {}
         },
         GlobalEvent::Fault(idx) => on_fault(co, sh, dp, idx, now),
@@ -921,24 +890,24 @@ fn exclusive_step(
 }
 
 /// Run a hot policy install inside an exclusive step: build one fresh
-/// balancer per MDS from the validated policy, swap the whole set, and
-/// stamp the install epoch into the trace stream. Building happens here
-/// (not on the submitting thread) because balancer runtimes are
-/// deliberately not `Send`; the raw [`PolicySet`] is.
+/// balancer per MDS from the validated policy (on the default hook
+/// engine), swap the whole set, and stamp the install epoch into the
+/// trace stream. Building happens here (not on the submitting thread)
+/// because balancer runtimes are deliberately not `Send`; the raw
+/// [`PolicySet`] is.
 fn install_policy(
     co: &mut Coordinator,
     name: String,
     epoch: u64,
     set: mantle_policy::env::PolicySet,
-    engine: mantle_policy::HookEngine,
-    ack: Option<std::sync::mpsc::Sender<Result<SimTime, String>>>,
+    ack: std::sync::mpsc::Sender<Result<SimTime, String>>,
     now: SimTime,
 ) {
     let n = co.cfg.num_mds;
     let built: Result<Vec<Box<dyn Balancer>>, mantle_policy::PolicyError> = (0..n)
         .map(|_| {
             crate::balancer::MantleBalancer::new_unvalidated(name.clone(), set.clone())
-                .map(|b| Box::new(b.with_engine(engine)) as Box<dyn Balancer>)
+                .map(|b| Box::new(b) as Box<dyn Balancer>)
         })
         .collect();
     match built {
@@ -950,17 +919,13 @@ fn install_policy(
             co.consecutive_policy_errors = vec![0; n];
             co.balancer_name = name.clone();
             co.emit(now, || TraceEvent::PolicyInstalled { epoch, name });
-            if let Some(ack) = ack {
-                let _ = ack.send(Ok(now));
-            }
+            let _ = ack.send(Ok(now));
         }
         Err(e) => {
             // Validated upstream, so this is exceptional — keep the old
             // balancers running and surface the error.
             co.policy_errors += 1;
-            if let Some(ack) = ack {
-                let _ = ack.send(Err(e.to_string()));
-            }
+            let _ = ack.send(Err(e.to_string()));
         }
     }
 }

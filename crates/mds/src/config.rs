@@ -3,7 +3,7 @@
 //! single MDS saturates at ≈4 create clients, Fig. 5; distribution
 //! overheads make spilling to 2 MDSs a win and to 4 a loss, Fig. 8).
 
-use mantle_namespace::{IndexMode, OpKind};
+use mantle_namespace::OpKind;
 use mantle_sim::{SchedulerKind, SimTime};
 
 use crate::faults::FaultPlan;
@@ -74,11 +74,6 @@ pub struct ClusterConfig {
     /// timeouts, retry backoff, balancer fallback). The default plan is
     /// inert.
     pub faults: FaultPlan,
-    /// Which namespace index machinery to run on: the incremental indexes
-    /// (default) or the retained walk-based oracle paths, for differential
-    /// testing — a fixed seed must produce an identical `RunReport` in
-    /// either mode.
-    pub index_mode: IndexMode,
     /// Event-queue backend. Has one value; kept only because the
     /// repository benchmark (`perfbench/`) reads it.
     pub scheduler: SchedulerKind,
@@ -115,7 +110,6 @@ impl Default for ClusterConfig {
             metaload_noise: 0.15,
             max_duration: SimTime::from_mins(60),
             faults: FaultPlan::default(),
-            index_mode: IndexMode::default(),
             scheduler: SchedulerKind::default(),
             exec_mode: ExecMode::default(),
             cache: CacheConfig::default(),
@@ -140,12 +134,6 @@ impl ClusterConfig {
     /// Convenience: install a fault plan.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Convenience: pick the namespace index machinery.
-    pub fn with_index_mode(mut self, mode: IndexMode) -> Self {
-        self.index_mode = mode;
         self
     }
 

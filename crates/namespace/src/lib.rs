@@ -28,7 +28,5 @@ pub mod types;
 
 pub use heat::{FragHeat, HeatSample};
 pub use stats::{hottest_dirs, NamespaceStats};
-pub use tree::{
-    Dir, Frag, FragId, FragRef, IndexMode, Namespace, NsConfig, SplitEvent, SubtreeMigration,
-};
+pub use tree::{Dir, Frag, FragId, FragRef, Namespace, NsConfig, SplitEvent, SubtreeMigration};
 pub use types::{MdsId, NodeId, OpKind};

@@ -10,8 +10,8 @@
 //!
 //! or, for a seconds-long CI smoke that skips the timing loops and the
 //! JSON write but still checks that every fast path produces the same
-//! numbers as its walk-based oracle — and that the incremental index
-//! never fell back to a full aggregate rebuild:
+//! numbers as its walk-based oracle — including the delta-maintained
+//! per-MDS aggregates after a run of migrations:
 //!
 //! ```text
 //! cargo run --release --bin bench_ticks -- --smoke
@@ -35,8 +35,8 @@
 //!   differ);
 //! * `migration_tick`: the cost of one balancer-driven migration plus the
 //!   following load snapshot on a ~10 000-directory namespace — the
-//!   incremental index (bounded subtree walk + delta aggregates) against
-//!   the walk-oracle path (full-namespace aggregate rebuild per tick);
+//!   delta-maintained aggregates (`mds_load_samples`) against a full
+//!   per-frag recompute (`oracle_load_samples`) after the same migration;
 //! * `scale`: whole-cluster wall-clock rows at 10/64/128 MDSs (best of
 //!   three runs each, reruns asserted byte-identical);
 //! * `cache`: the proxy-cache tier — `GroupCache` lookup/fill cost on a
@@ -60,7 +60,7 @@ use mantle::core::policies;
 use mantle::core::repro::ReproOpts;
 use mantle::core::scale::{run_scale, ScaleSpec};
 use mantle::mds::{GroupCache, HookEngine};
-use mantle::namespace::{IndexMode, Namespace, NodeId, NsConfig, OpKind};
+use mantle::namespace::{Namespace, NodeId, OpKind};
 use mantle::policy::env::{BalancerInputs, FragMetrics, MantleRuntime, MdsMetrics};
 use mantle::prelude::*;
 use mantle::sim::SimTime;
@@ -81,11 +81,8 @@ fn time_per_call(iters: u32, mut f: impl FnMut()) -> f64 {
 /// A create-shared-style namespace: a few project roots, each packed with
 /// subdirectories that clients hammer with creates and stats. Subtrees are
 /// spread over the MDSs so replica (ancestor) chains are non-trivial.
-fn build_namespace(dirs_per_project: usize, projects: usize, mode: IndexMode) -> Namespace {
-    let mut ns = Namespace::new(NsConfig {
-        index_mode: mode,
-        ..Default::default()
-    });
+fn build_namespace(dirs_per_project: usize, projects: usize) -> Namespace {
+    let mut ns = Namespace::default();
     let now = SimTime::ZERO;
     let root = ns.root();
     for p in 0..projects {
@@ -205,25 +202,34 @@ fn project_leaves(ns: &Namespace, count: usize) -> Vec<NodeId> {
 }
 
 /// One migration-heavy balancer tick: export a small subtree, then take
-/// the load snapshot the next heartbeat needs. In incremental mode both
-/// steps are bounded by the moved subtree; on the walk-oracle path the
-/// snapshot rebuilds every per-MDS aggregate from per-frag truth.
-fn migration_tick(ns: &mut Namespace, leaves: &[NodeId], i: &mut usize, now: SimTime) {
+/// the load snapshot the next heartbeat needs. With `full_recompute` the
+/// snapshot is the per-frag walk over the whole namespace
+/// (`oracle_load_samples`); otherwise it reads the delta-maintained
+/// aggregates, so both steps are bounded by the moved subtree.
+fn migration_tick(
+    ns: &mut Namespace,
+    leaves: &[NodeId],
+    i: &mut usize,
+    now: SimTime,
+    full_recompute: bool,
+) {
     let leaf = leaves[*i % leaves.len()];
     let to = *i % NUM_MDS;
     *i += 1;
     ns.migrate_subtree(leaf, to);
-    black_box(ns.mds_load_samples(NUM_MDS, now));
+    if full_recompute {
+        black_box(ns.oracle_load_samples(NUM_MDS, now));
+    } else {
+        black_box(ns.mds_load_samples(NUM_MDS, now));
+    }
 }
 
 /// `--smoke`: tiny namespaces, no timing loops, no JSON — just assert
-/// that the fast paths run (and agree with their oracles) without the
-/// incremental index ever falling back to a full rebuild.
+/// that the fast paths run and agree with their oracles.
 fn run_smoke() {
     let now = SimTime::from_secs(1);
     let table1 = MantleRuntime::new(policies::cephfs_original().expect("preset compiles"));
-    let mut inc = build_namespace(40, 3, IndexMode::Incremental);
-    let mut ora = build_namespace(40, 3, IndexMode::WalkOracle);
+    let mut inc = build_namespace(40, 3);
 
     let (agg_auth, _) = aggregate_rollup(&mut inc, &table1, now);
     let (walk_auth, _) = per_frag_walk(&mut inc, &table1, now);
@@ -248,22 +254,25 @@ fn run_smoke() {
     });
     assert_eq!(bytecode, tree, "smoke: hook engines disagree on decide");
 
-    let leaves_inc = project_leaves(&inc, 8);
-    let leaves_ora = project_leaves(&ora, 8);
-    let (mut ii, mut io) = (0, 0);
+    // After a run of migrations, the delta-maintained aggregates still
+    // match a full per-frag recompute.
+    let leaves = project_leaves(&inc, 8);
+    let mut ii = 0;
     for _ in 0..16 {
-        migration_tick(&mut inc, &leaves_inc, &mut ii, now);
-        migration_tick(&mut ora, &leaves_ora, &mut io, now);
+        migration_tick(&mut inc, &leaves, &mut ii, now, false);
     }
-    assert_eq!(
-        inc.rebuilds(),
-        0,
-        "smoke: incremental index fell back to a full aggregate rebuild"
-    );
-    assert!(
-        ora.rebuilds() > 0,
-        "smoke: walk-oracle mode never exercised the rebuild path"
-    );
+    let (auth, rep) = inc.mds_load_samples(NUM_MDS, now);
+    let (auth_o, rep_o) = inc.oracle_load_samples(NUM_MDS, now);
+    for (kind, fast, full) in [("auth", auth, auth_o), ("replica", rep, rep_o)] {
+        for m in 0..NUM_MDS {
+            let (got, want) = (fast[m].cephfs_metaload(), full[m].cephfs_metaload());
+            assert!(
+                (got - want).abs() <= 1e-6 * (1.0 + want.abs()),
+                "smoke: {kind} aggregate of MDS {m} drifted after migrations: \
+                 {got} vs {want}"
+            );
+        }
+    }
 
     // Trace overhead guard: attaching a sink must not change the
     // simulation (fixed-seed reports stay byte-identical) or push any
@@ -354,12 +363,11 @@ fn run_smoke() {
     );
 
     println!(
-        "smoke ok: {} dirs, {} migration ticks, incremental rebuilds = 0, \
-         oracle rebuilds = {}, {} trace records invariant-clean, \
+        "smoke ok: {} dirs, {} migration ticks with aggregates matching a \
+         full recompute, {} trace records invariant-clean, \
          storm cache speedup {:.1}x, elastic {:.2}x the pool extremes",
         inc.dir_count(),
         ii,
-        ora.rebuilds(),
         trace.records().len(),
         cache_speedup,
         el_score / el_fixed_best
@@ -427,7 +435,7 @@ fn main() {
 
     // --- snapshot: aggregate roll-up vs per-frag walk -------------------
     // 3 projects × 700 dirs + roots
-    let mut ns = build_namespace(700, 3, IndexMode::Incremental);
+    let mut ns = build_namespace(700, 3);
     let dirs = ns.dir_count();
     let frags: usize = (0..NUM_MDS).map(|m| ns.auth_frags(m).len()).sum();
     assert!(dirs >= 2_000, "bench namespace too small: {dirs} dirs");
@@ -471,29 +479,20 @@ fn main() {
         black_box(adaptable_slow.decide(&inputs).unwrap());
     });
 
-    // --- migration-heavy ticks at ~10k dirs, both index modes -----------
+    // --- migration-heavy ticks at ~10k dirs, delta vs full recompute ----
     // Greedy-Spill-style exports of small hot subtrees: the per-migration
     // balancer cost is the export itself plus the next load snapshot.
-    let mut mig_inc = build_namespace(3_400, 3, IndexMode::Incremental);
-    let mut mig_ora = build_namespace(3_400, 3, IndexMode::WalkOracle);
-    let mig_dirs = mig_inc.dir_count();
+    let mut mig_ns = build_namespace(3_400, 3);
+    let mig_dirs = mig_ns.dir_count();
     assert!(mig_dirs >= 10_000, "migration bench too small: {mig_dirs}");
-    let leaves_inc = project_leaves(&mig_inc, 64);
-    let leaves_ora = project_leaves(&mig_ora, 64);
-    let mut ii = 0;
+    let leaves = project_leaves(&mig_ns, 64);
+    let mut mi = 0;
     let mig_inc_s = time_per_call(2_000, || {
-        migration_tick(&mut mig_inc, &leaves_inc, &mut ii, now);
+        migration_tick(&mut mig_ns, &leaves, &mut mi, now, false);
     });
-    let mut io = 0;
-    let mig_ora_s = time_per_call(40, || {
-        migration_tick(&mut mig_ora, &leaves_ora, &mut io, now);
+    let mig_full_s = time_per_call(40, || {
+        migration_tick(&mut mig_ns, &leaves, &mut mi, now, true);
     });
-    assert_eq!(
-        mig_inc.rebuilds(),
-        0,
-        "incremental index fell back to a full aggregate rebuild"
-    );
-    assert!(mig_ora.rebuilds() > 0, "oracle mode must rebuild per tick");
 
     // --- end to end: a small create-shared run, both engines ------------
     let e2e = |slow: bool| {
@@ -552,7 +551,7 @@ fn main() {
     // Primitive costs on the bench namespace: in-window lookup hits and
     // barrier-time fills (with LRU eviction pressure — the cache holds
     // half the dirs it is offered).
-    let cache_ns = build_namespace(700, 3, IndexMode::Incremental);
+    let cache_ns = build_namespace(700, 3);
     let cache_dirs: Vec<NodeId> = cache_ns.all_dirs().collect();
     let mut gc = GroupCache::new(cache_dirs.len() / 2);
     for &d in &cache_dirs {
@@ -619,7 +618,7 @@ fn main() {
     let snapshot_speedup = walk_s / agg_s;
     let metaload_speedup = meta_tree_s / meta_fast_s;
     let decide_speedup = decide_tree_s / decide_fast_s;
-    let migration_speedup = mig_ora_s / mig_inc_s;
+    let migration_speedup = mig_full_s / mig_inc_s;
 
     let mut json = String::new();
     let _ = write!(
@@ -645,7 +644,7 @@ fn main() {
   "migration_tick": {{
     "dirs": {mig_dirs},
     "incremental_us_per_migration": {mi:.3},
-    "walk_oracle_us_per_migration": {mo:.3},
+    "full_recompute_us_per_migration": {mf_us:.3},
     "speedup": {msp:.1}
   }},
   "end_to_end_create_shared": {{
@@ -692,7 +691,7 @@ fn main() {
         dt = decide_tree_s * 1e6,
         ds = decide_speedup,
         mi = mig_inc_s * 1e6,
-        mo = mig_ora_s * 1e6,
+        mf_us = mig_full_s * 1e6,
         msp = migration_speedup,
         ef = e2e_fast_s,
         es = e2e_slow_s,
@@ -722,7 +721,7 @@ fn main() {
     );
     assert!(
         migration_speedup >= 10.0,
-        "incremental migration ticks must be ≥ 10× the walk-oracle path, \
+        "incremental migration ticks must be ≥ 10× the full-recompute path, \
          got {migration_speedup:.1}×"
     );
     // The bytecode engine earns its default-engine status on the decide

@@ -1,21 +1,27 @@
-//! Differential end-to-end tests for the incremental index layer.
+//! End-to-end checks of the namespace index layer.
 //!
 //! The Euler-interval membership checks, the per-MDS ownership indexes,
-//! and the delta-maintained aggregates must be *behaviorally invisible*:
-//! for a fixed seed the whole simulated cluster produces a byte-identical
-//! [`RunReport`] whether the namespace runs its incremental machinery or
-//! the retained walk-based oracle paths — under a healthy run and with
-//! every fault kind firing at once.
+//! and the delta-maintained aggregates run inside every simulated cluster.
+//! Each scenario here runs once at [`TraceLevel::Full`] and replays the
+//! stream through [`check_trace`]. The checker rebuilds the authority map
+//! from the trace alone, so its `authority` rule (every request lands on
+//! the replayed owner of its dirfrag) and its `inode-conservation` rule
+//! (every migration moves the inodes the replayed tree holds) check
+//! resolution and migration counts independently of `Namespace`. The
+//! untraced run must produce a byte-identical [`RunReport`], under a
+//! healthy run and with every fault kind firing at once.
+//!
+//! The per-operation reference checks of the same indexes live in
+//! `tests/properties.rs`.
 
-use mantle::namespace::IndexMode;
+use mantle::mds::check_trace;
 use mantle::prelude::*;
 
-fn quick_cfg(num_mds: usize, mode: IndexMode) -> ClusterConfig {
+fn quick_cfg(num_mds: usize) -> ClusterConfig {
     ClusterConfig {
         num_mds,
         frag_split_threshold: 500,
         heartbeat_interval: SimTime::from_millis(400),
-        index_mode: mode,
         ..Default::default()
     }
 }
@@ -42,9 +48,9 @@ fn kitchen_sink_plan() -> FaultPlan {
     .poison_balancer(SimTime::from_millis(1_200), 1)
 }
 
-fn spec(mode: IndexMode, workload: WorkloadSpec, faults: Option<FaultPlan>) -> Experiment {
+fn spec(workload: WorkloadSpec, faults: Option<FaultPlan>) -> Experiment {
     let mut spec = Experiment::new(
-        quick_cfg(3, mode),
+        quick_cfg(3),
         workload,
         BalancerSpec::mantle("greedy", policies::greedy_spill().unwrap()),
     );
@@ -54,29 +60,33 @@ fn spec(mode: IndexMode, workload: WorkloadSpec, faults: Option<FaultPlan>) -> E
     spec
 }
 
-fn assert_modes_agree(workload: WorkloadSpec, faults: Option<FaultPlan>, label: &str) {
-    let inc = run_experiment(&spec(
-        IndexMode::Incremental,
-        workload.clone(),
-        faults.clone(),
-    ));
-    let ora = run_experiment(&spec(IndexMode::WalkOracle, workload, faults));
-    assert_eq!(
-        format!("{inc:?}"),
-        format!("{ora:?}"),
-        "{label}: index modes must yield byte-identical reports"
+fn assert_trace_checked(workload: WorkloadSpec, faults: Option<FaultPlan>, label: &str) {
+    let spec = spec(workload, faults);
+    let (traced, trace) = run_experiment_traced(&spec, TraceLevel::Full);
+    let violations = check_trace(trace.records());
+    assert!(
+        violations.is_empty(),
+        "{label}: {} violation(s), first: {}",
+        violations.len(),
+        violations[0]
     );
     assert!(
-        inc.total_migrations() >= 1,
+        traced.total_migrations() >= 1,
         "{label}: vacuous without migrations"
+    );
+    let plain = run_experiment(&spec);
+    assert_eq!(
+        format!("{plain:?}"),
+        format!("{traced:?}"),
+        "{label}: tracing must not change the report"
     );
 }
 
 #[test]
-fn healthy_shared_dir_run_is_identical_across_index_modes() {
+fn healthy_shared_dir_run_passes_trace_checks() {
     // Greedy spill over a shared create-heavy directory: dirfrag exports,
     // frag-authority overrides, freeze/cold windows.
-    assert_modes_agree(
+    assert_trace_checked(
         WorkloadSpec::CreateShared {
             clients: 4,
             files: 2_000,
@@ -87,10 +97,10 @@ fn healthy_shared_dir_run_is_identical_across_index_modes() {
 }
 
 #[test]
-fn healthy_separate_dir_run_is_identical_across_index_modes() {
+fn healthy_separate_dir_run_passes_trace_checks() {
     // Per-client directories: whole-subtree exports dominate, exercising
     // the single-walk migration and the delta aggregate transfer.
-    assert_modes_agree(
+    assert_trace_checked(
         WorkloadSpec::CreateSeparate {
             clients: 4,
             files: 2_000,
@@ -101,8 +111,8 @@ fn healthy_separate_dir_run_is_identical_across_index_modes() {
 }
 
 #[test]
-fn all_faults_run_is_identical_across_index_modes() {
-    assert_modes_agree(
+fn all_faults_run_passes_trace_checks() {
+    assert_trace_checked(
         WorkloadSpec::CreateSeparate {
             clients: 4,
             files: 2_000,

@@ -6,7 +6,7 @@
 //! test — the failing case index is in the assertion message.
 
 use mantle::mds::{select_best, DirfragSelector};
-use mantle::namespace::{IndexMode, Namespace, NamespaceStats, NodeId, NsConfig, OpKind};
+use mantle::namespace::{FragRef, Namespace, NamespaceStats, NodeId, NsConfig, OpKind};
 use mantle::policy::env::{BalancerInputs, MantleRuntime, MdsMetrics, PolicySet};
 use mantle::policy::{parse_script, script_to_source, Interpreter, StepBudget, Value};
 use mantle::policy::{BytecodeProgram, BytecodeVm, SlotProgram};
@@ -262,17 +262,23 @@ enum NsAction {
     Stat(u8),
     Migrate(u8, u8),
     MigrateFrag(u8, u8),
+    /// Install or clear a subtree override (the crash-failover path).
+    SetAuth(u8, Option<u8>),
+    /// Clear a fragment override.
+    ClearFragAuth(u8),
 }
 
 fn ns_action(rng: &mut SimRng) -> NsAction {
     let d = rng.below(16) as u8;
-    match rng.below(6) {
+    match rng.below(8) {
         0 => NsAction::Mkdir(d),
         1 => NsAction::Create(d),
         2 => NsAction::Unlink(d),
         3 => NsAction::Stat(d),
         4 => NsAction::Migrate(d, rng.below(4) as u8),
-        _ => NsAction::MigrateFrag(d, rng.below(4) as u8),
+        5 => NsAction::MigrateFrag(d, rng.below(4) as u8),
+        6 => NsAction::SetAuth(d, (rng.below(3) != 0).then(|| rng.below(4) as u8)),
+        _ => NsAction::ClearFragAuth(d),
     }
 }
 
@@ -292,11 +298,6 @@ fn namespace_invariants_hold_under_random_ops() {
         let now = SimTime::ZERO;
         for action in actions {
             match action {
-                NsAction::Mkdir(p) => {
-                    let parent = dirs[p as usize % dirs.len()];
-                    let name = format!("d{}", dirs.len());
-                    dirs.push(ns.mkdir(parent, name));
-                }
                 NsAction::Create(d) => {
                     let dir = dirs[d as usize % dirs.len()];
                     ns.record_op(dir, OpKind::Create, now);
@@ -310,19 +311,7 @@ fn namespace_invariants_hold_under_random_ops() {
                         unlinked += 1;
                     }
                 }
-                NsAction::Stat(d) => {
-                    let dir = dirs[d as usize % dirs.len()];
-                    ns.record_op(dir, OpKind::Stat, now);
-                }
-                NsAction::Migrate(d, m) => {
-                    let dir = dirs[d as usize % dirs.len()];
-                    ns.migrate_subtree(dir, m as usize);
-                }
-                NsAction::MigrateFrag(d, m) => {
-                    let dir = dirs[d as usize % dirs.len()];
-                    let frag = ns.peek_frag(dir);
-                    ns.migrate_frag(dir, frag, m as usize);
-                }
+                other => apply_ns_action(&mut ns, &mut dirs, &other, now),
             }
             // Invariant: every directory resolves to exactly one authority.
             for &dir in &dirs {
@@ -343,12 +332,11 @@ fn namespace_invariants_hold_under_random_ops() {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental index layer ≡ walk-based oracles
+// Incremental index layer ≡ stateless reference walks
 // ---------------------------------------------------------------------------
 
 /// Apply one random action to a namespace at `now`, growing `dirs` as
-/// mkdirs land. The same (action, dirs) stream applied to two namespaces
-/// drives them through identical structural histories.
+/// mkdirs land.
 fn apply_ns_action(
     ns: &mut Namespace,
     dirs: &mut Vec<NodeId>,
@@ -382,6 +370,121 @@ fn apply_ns_action(
             let frag = ns.peek_frag(dir);
             ns.migrate_frag(dir, frag, m as usize);
         }
+        NsAction::SetAuth(d, m) => {
+            let dir = dirs[d as usize % dirs.len()];
+            // The root must keep its override: it anchors every resolution.
+            if dir != ns.root() || m.is_some() {
+                ns.set_auth(dir, m.map(usize::from));
+            }
+        }
+        NsAction::ClearFragAuth(d) => {
+            let dir = dirs[d as usize % dirs.len()];
+            // Prefer a fragment that actually carries an override.
+            let frags = &ns.dir(dir).frags;
+            let frag = (0..frags.len())
+                .find(|&f| frags[f].auth.is_some())
+                .unwrap_or_else(|| ns.peek_frag(dir));
+            ns.set_frag_auth(dir, frag, None);
+        }
+    }
+}
+
+/// Reference: walk the parents of `d` and collect every `auth` override,
+/// nearest first, deduplicated. The first entry is `d`'s resolution.
+fn walk_chain(ns: &Namespace, d: NodeId) -> Vec<usize> {
+    let mut chain = Vec::new();
+    let mut cur = Some(d);
+    while let Some(c) = cur {
+        if let Some(a) = ns.dir(c).auth {
+            if !chain.contains(&a) {
+                chain.push(a);
+            }
+        }
+        cur = ns.dir(c).parent;
+    }
+    chain
+}
+
+fn walk_resolve(ns: &Namespace, d: NodeId) -> usize {
+    walk_chain(ns, d)[0]
+}
+
+/// Reference: every `(dir, frag)` whose effective authority is `m`, by a
+/// full scan in `(dir, frag)` order.
+fn scan_auth_frags(ns: &Namespace, m: usize) -> Vec<FragRef> {
+    let mut out = Vec::new();
+    for d in ns.all_dirs() {
+        let resolved = walk_resolve(ns, d);
+        for (f, frag) in ns.dir(d).frags.iter().enumerate() {
+            if frag.auth.unwrap_or(resolved) == m {
+                out.push(FragRef { dir: d, frag: f });
+            }
+        }
+    }
+    out
+}
+
+/// Reference: dirs `m` can export from — its subtree bound roots, plus
+/// dirs resolving elsewhere that have a fragment owned by `m`.
+fn scan_export_candidates(ns: &Namespace, m: usize) -> Vec<NodeId> {
+    ns.all_dirs()
+        .filter(|&d| {
+            let resolved = walk_resolve(ns, d);
+            ns.dir(d).auth == Some(m)
+                || (resolved != m
+                    && ns
+                        .dir(d)
+                        .frags
+                        .iter()
+                        .any(|f| f.auth.unwrap_or(resolved) == m))
+        })
+        .collect()
+}
+
+/// Reference: the region a migration of `root` moves — `(inodes, holes)`,
+/// where the region stops at descendants carrying their own override
+/// (the holes) and inodes count its dirs plus their file entries.
+fn walk_bounded_region(ns: &Namespace, root: NodeId) -> (u64, Vec<NodeId>) {
+    let mut inodes = 0;
+    let mut holes = Vec::new();
+    let mut stack = vec![root];
+    while let Some(cur) = stack.pop() {
+        let d = ns.dir(cur);
+        inodes += 1 + d.frags.iter().map(|f| f.files).sum::<u64>();
+        for &c in &d.children {
+            if ns.dir(c).auth.is_some() {
+                holes.push(c);
+            } else {
+                stack.push(c);
+            }
+        }
+    }
+    holes.sort_unstable();
+    (inodes, holes)
+}
+
+/// Check every index-backed query of `ns` against the reference walks.
+fn assert_index_matches_walks(ns: &Namespace, dirs: &[NodeId], ctx: &str) {
+    for &d in dirs {
+        let chain = walk_chain(ns, d);
+        assert_eq!(ns.resolve_auth(d), chain[0], "{ctx}: resolve_auth({d:?})");
+        assert_eq!(
+            ns.ancestor_auth_chain(d),
+            chain,
+            "{ctx}: ancestor_auth_chain({d:?})"
+        );
+    }
+    for m in 0..4 {
+        assert_eq!(
+            ns.auth_frags(m),
+            scan_auth_frags(ns, m),
+            "{ctx}: auth_frags({m})"
+        );
+        assert_eq!(
+            ns.export_candidate_dirs(m),
+            scan_export_candidates(ns, m),
+            "{ctx}: export_candidate_dirs({m})"
+        );
     }
 }
 
@@ -416,62 +519,48 @@ fn euler_membership_matches_recursive_walk() {
     }
 }
 
-/// (b) The per-MDS ownership indexes answer exactly what a full-namespace
-/// scan answers: twin namespaces driven through an identical action
-/// sequence — one incremental, one on the walk-oracle paths — agree on
-/// `auth_frags`, `export_candidate_dirs`, and `resolve_auth` everywhere.
+/// (b) The eager authority caches and the per-MDS ownership indexes answer
+/// exactly what stateless walks over the public tree answer, after *every*
+/// action; each migration moves exactly the bounded region a walk finds.
 #[test]
-fn indexed_ownership_matches_walk_oracle() {
+fn indexed_ownership_matches_reference_walks() {
     let mut rng = cases_rng("index-ownership");
     for case in 0..32 {
         let n_actions = rng.range_inclusive(1, 300) as usize;
-        let mk = |mode| {
-            Namespace::new(NsConfig {
-                frag_split_threshold: 6,
-                index_mode: mode,
-                ..Default::default()
-            })
-        };
-        let mut inc = mk(IndexMode::Incremental);
-        let mut ora = mk(IndexMode::WalkOracle);
-        let mut dirs_inc = vec![inc.root()];
-        let mut dirs_ora = vec![ora.root()];
+        let mut ns = Namespace::new(NsConfig {
+            frag_split_threshold: 6,
+            ..Default::default()
+        });
+        let mut dirs = vec![ns.root()];
         for step in 0..n_actions {
             let action = ns_action(&mut rng);
             let now = mantle::sim::SimTime::from_millis(step as u64 * 20);
-            apply_ns_action(&mut inc, &mut dirs_inc, &action, now);
-            apply_ns_action(&mut ora, &mut dirs_ora, &action, now);
-        }
-        assert_eq!(dirs_inc, dirs_ora, "case {case}: structural divergence");
-        for m in 0..4 {
-            assert_eq!(
-                inc.auth_frags(m),
-                ora.auth_frags(m),
-                "case {case}: auth_frags({m})"
-            );
-            assert_eq!(
-                inc.export_candidate_dirs(m),
-                ora.export_candidate_dirs(m),
-                "case {case}: export_candidate_dirs({m})"
-            );
-        }
-        for &d in &dirs_inc {
-            assert_eq!(
-                inc.resolve_auth(d),
-                ora.resolve_auth(d),
-                "case {case}: resolve_auth({d:?})"
-            );
+            let ctx = format!("case {case} step {step} ({action:?})");
+            if let NsAction::Migrate(d, m) = action {
+                let dir = dirs[d as usize % dirs.len()];
+                let inodes = ns.subtree_inodes(dir);
+                let (walked, holes) = walk_bounded_region(&ns, dir);
+                assert_eq!(inodes, walked, "{ctx}: subtree_inodes");
+                let mut moved = ns.migrate_subtree(dir, m as usize);
+                moved.holes.sort_unstable();
+                assert_eq!(moved.inodes, inodes, "{ctx}: migrated inodes");
+                assert_eq!(moved.holes, holes, "{ctx}: migration holes");
+            } else {
+                apply_ns_action(&mut ns, &mut dirs, &action, now);
+            }
+            assert_index_matches_walks(&ns, &dirs, &ctx);
         }
     }
 }
 
 /// (c) Delta-maintained per-MDS aggregates track a from-scratch recompute
-/// off per-frag truth. Migrations move heat between aggregates by sampled
-/// deltas, so agreement is to floating-point tolerance, not bitwise — and
-/// the incremental path must never have fallen back to a full rebuild.
+/// off per-frag truth after every action. Authority changes move heat
+/// between aggregates by sampled deltas, so agreement is to floating-point
+/// tolerance, not bitwise.
 #[test]
 fn delta_aggregates_match_full_recompute() {
     let mut rng = cases_rng("delta-aggregates");
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * (1.0 + b.abs());
     for case in 0..24 {
         let n_actions = rng.range_inclusive(1, 300) as usize;
         let mut ns = Namespace::new(NsConfig {
@@ -479,30 +568,29 @@ fn delta_aggregates_match_full_recompute() {
             ..Default::default()
         });
         let mut dirs = vec![ns.root()];
-        let mut now = mantle::sim::SimTime::ZERO;
         for step in 0..n_actions {
             let action = ns_action(&mut rng);
-            now = mantle::sim::SimTime::from_millis(step as u64 * 20);
+            let now = mantle::sim::SimTime::from_millis(step as u64 * 20);
             apply_ns_action(&mut ns, &mut dirs, &action, now);
+            let (auth, rep) = ns.mds_load_samples(4, now);
+            let (auth_o, rep_o) = ns.oracle_load_samples(4, now);
+            for m in 0..4 {
+                assert!(
+                    close(auth[m].cephfs_metaload(), auth_o[m].cephfs_metaload()),
+                    "case {case} step {step} ({action:?}): auth aggregate of MDS {m}: \
+                     {:?} vs {:?}",
+                    auth[m],
+                    auth_o[m]
+                );
+                assert!(
+                    close(rep[m].cephfs_metaload(), rep_o[m].cephfs_metaload()),
+                    "case {case} step {step} ({action:?}): replica aggregate of MDS {m}: \
+                     {:?} vs {:?}",
+                    rep[m],
+                    rep_o[m]
+                );
+            }
         }
-        let (auth, rep) = ns.mds_load_samples(4, now);
-        let (auth_o, rep_o) = ns.oracle_load_samples(4, now);
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * (1.0 + b.abs());
-        for m in 0..4 {
-            assert!(
-                close(auth[m].cephfs_metaload(), auth_o[m].cephfs_metaload()),
-                "case {case}: auth aggregate of MDS {m}: {:?} vs {:?}",
-                auth[m],
-                auth_o[m]
-            );
-            assert!(
-                close(rep[m].cephfs_metaload(), rep_o[m].cephfs_metaload()),
-                "case {case}: replica aggregate of MDS {m}: {:?} vs {:?}",
-                rep[m],
-                rep_o[m]
-            );
-        }
-        assert_eq!(ns.rebuilds(), 0, "case {case}: incremental path fell back");
     }
 }
 
